@@ -20,9 +20,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE
-from .matrix import Matrix, SubspaceBasis, canonical_span, nullspace
-from .reps import TABLE1
+from .scalars import GRat, ZERO
+from .matrix import Matrix, SubspaceBasis, _unflatten, canonical_span
+from .reps import TABLE1, endomorphisms
 from .beta import (
     VectorCarrier,
     carrier_for,
@@ -227,44 +227,17 @@ def _label(key):
     return f"D({key[0]},{key[1]},{key[2]})"
 
 
-def commutant_blocks(car: VectorCarrier):
-    """Basis of (Kv, Ks) with K = diag(Kv (x) I3, Ks) commuting with all
-    eta_a; such K automatically commute with the S_a."""
-    n, m = car.N, car.M
-    nv = n * n + m * m
-    rows = []
-    A, B, C = car.A, car.B, car.C
-    for k in range(nv):
-        v = [ZERO] * nv
-        v[k] = ONE
-        Kv = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        Ks = Matrix([[v[n * n + i * m + j] for j in range(m)] for i in range(m)])
-        resid = []
-        if n:
-            resid.append(Kv @ A - A @ Kv)
-        if n and m:
-            resid.append(Kv @ B - B @ Ks)
-            resid.append(Ks @ C - C @ Kv)
-        col = [x for rm_ in resid for rr in rm_.entries for x in rr]
-        rows.append(col)
-    coeff = Matrix(rows).T if rows and rows[0] else Matrix.zeros(0, nv)
-    out = []
-    for v in nullspace(coeff):
-        Kv = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        Ks = Matrix([[v[n * n + i * m + j] for j in range(m)] for i in range(m)])
-        out.append((Kv, Ks))
-    return out
-
-
 def equivalence_directions(car: VectorCarrier, R0: Matrix, E0: Matrix):
     """Tangent directions of the equivalence group at the point (R0, E0):
 
     * beta4 -> W^H beta4 W for W = exp(t K) in the boost commutant,
-      giving (Kv^H R0 + R0 Kv, Ks^H E0 + E0 Ks);
+      giving (Kv^H R0 + R0 Kv, Ks^H E0 + E0 Ks).  K = diag(Kv (x) I3, Ks)
+      commutes with every eta_a exactly when (Kv, Ks) is an endomorphism
+      of the carrier's triple, and then also with every S_a;
     * the phase shift psi -> exp(i kappa m t) psi, giving (F0, G0).
     """
     dirs = []
-    for Kv, Ks in commutant_blocks(car):
+    for Kv, Ks in endomorphisms(car.A, car.B, car.C, car.N, car.M):
         dR = Kv.H @ R0 + R0 @ Kv
         dE = Ks.H @ E0 + E0 @ Ks
         dirs.append(_flatten_re(dR, dE))
@@ -432,9 +405,7 @@ def _cell_report(cell: Cell) -> dict:
                     point = [ZERO] * span.dim
                     for w, v in zip(weights, flipped):
                         point = [p + w * x for p, x in zip(point, v)]
-                    from .beta import _unflatten_re
-
-                    R0, E0 = _unflatten_re(point, (rn, rm), (en, em))
+                    R0, E0 = _unflatten(point, [(rn, rm), (en, em)])
                     aug = list(flipped) + equivalence_directions(car, R0, E0)
                     if canonical_span(aug, span.dim) == span.basis:
                         match = True

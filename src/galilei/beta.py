@@ -28,9 +28,9 @@ from .scalars import GRat, ZERO, ONE, I
 from .matrix import (
     Matrix,
     SubspaceBasis,
+    _unflatten,
     canonical_span,
-    nullspace,
-    rref,
+    linear_kernel,
 )
 from .poly import PolyRing, Poly
 from .reps import (
@@ -41,8 +41,6 @@ from .reps import (
     k_row,
     parse_label,
 )
-
-GREEK = ("mu", "nu", "kappa", "sigma", "omega", "alpha", "rho", "tau", "chi", "phi")
 
 
 @dataclass
@@ -169,50 +167,6 @@ def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
 # -- the linear solve ------------------------------------------------------------
 
 
-class _RowAbsorber:
-    """Incremental rref over GRat rows; keeps only independent rows."""
-
-    def __init__(self, width):
-        self.width = width
-        self.rows = []  # list of (pivot_col, row)
-
-    def add(self, row):
-        row = list(row)
-        for pc, r in self.rows:
-            if row[pc]:
-                f = row[pc]
-                row = [x - f * y for x, y in zip(row, r)]
-        for c in range(self.width):
-            if row[c]:
-                inv = row[c].inverse()
-                row = [x * inv for x in row]
-                self.rows.append((c, row))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    def matrix(self) -> Matrix:
-        if not self.rows:
-            return Matrix.zeros(0, self.width)
-        return Matrix([r for _, r in self.rows])
-
-
-def _linear_rows_from_poly(p: Poly, unknowns):
-    """Real and imaginary coefficient rows of a linear Poly (no constant)."""
-    re_row = [ZERO] * len(unknowns)
-    im_row = [ZERO] * len(unknowns)
-    for e, c in p.terms.items():
-        idx = [k for k, pw in enumerate(e) if pw]
-        if not idx:
-            raise ValueError("affine term in a supposedly homogeneous system")
-        if len(idx) != 1 or e[idx[0]] != 1:
-            raise ValueError("nonlinear term in residual")
-        k = idx[0]
-        re_row[k] = GRat(c.re)
-        im_row[k] = GRat(c.im)
-    return re_row, im_row
-
-
 @dataclass
 class SolutionSpace:
     left: tuple
@@ -238,17 +192,6 @@ def _flatten_re(R: Matrix, E: Matrix):
     return tuple(out)
 
 
-def _unflatten_re(vec, r_shape, e_shape):
-    rn = r_shape[0] * r_shape[1]
-    rv = list(vec[:rn])
-    ev = list(vec[rn:])
-    R = Matrix([rv[i * r_shape[1]:(i + 1) * r_shape[1]] for i in range(r_shape[0])]) \
-        if r_shape[0] * r_shape[1] else Matrix.zeros(*r_shape)
-    E = Matrix([ev[i * e_shape[1]:(i + 1) * e_shape[1]] for i in range(e_shape[0])]) \
-        if e_shape[0] * e_shape[1] else Matrix.zeros(*e_shape)
-    return R, E
-
-
 def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     """Full solution space for the (R, E) blocks of beta4 between two
     vector/scalar carriers.
@@ -256,116 +199,42 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     For a self pair the physically meaningful space carries hermitian
     beta matrices (real symmetric blocks); that is the default there.
     Cross pairs are unconstrained by hermiticity (the mirror cell is
-    the adjoint) and default to the plain solve.
+    the adjoint) and default to the plain solve; asking for hermiticity
+    on a cross pair is a ValueError.
     """
     car_l = carrier_for(left) if not isinstance(left, VectorCarrier) else left
     car_r = carrier_for(right) if not isinstance(right, VectorCarrier) else right
     self_pair = car_l.labels == car_r.labels
     if hermitian is None:
         hermitian = self_pair
+    elif hermitian and not self_pair:
+        pair = " x ".join("+".join(map(str, c.labels)) for c in (car_l, car_r))
+        raise ValueError(f"hermiticity constrains self pairs only; got {pair}")
+    r_shape, e_shape = (car_l.N, car_r.N), (car_l.M, car_r.M)
+    etas_l_h = [car_l.eta(a).H for a in range(3)]
+    etas_r = [car_r.eta(a) for a in range(3)]
 
-    shapes = {
-        "R": (car_l.N, car_r.N),
-        "E": (car_l.M, car_r.M),
-        "F": (car_l.N, car_r.N),
-        "G": (car_l.M, car_r.M),
-        "H": (car_l.N, car_r.N),
-        "M": (car_l.N, car_r.M),
-        "N": (car_l.M, car_r.N),
-    }
-    names = []
-    offsets = {}
-    for blk in ("R", "E", "F", "G", "H", "M", "N"):
-        r, c = shapes[blk]
-        offsets[blk] = len(names)
-        names += [f"{blk}_{i}_{j}" for i in range(r) for j in range(c)]
-    if not names:
-        return SolutionSpace(car_l.labels, car_r.labels, shapes["R"], shapes["E"], [], hermitian)
-    ring = PolyRing(tuple(names))
+    def apply(R, E, F, G, H, M, N):
+        beta0, betas, beta4 = beta_from_blocks(car_l, car_r, R, E, F, G, H, M, N)
+        out = []
+        for a in range(3):
+            out.append(etas_l_h[a] @ beta4 - beta4 @ etas_r[a] + betas[a] * I)
+            out.append(etas_l_h[a] @ beta0 - beta0 @ etas_r[a])
+            for b in range(3):
+                resid = etas_l_h[a] @ betas[b] - betas[b] @ etas_r[a]
+                out.append(resid + beta0 * I if a == b else resid)
+        if hermitian:
+            # real-parameter hermiticity: R, E, F, G symmetric; H antisymmetric;
+            # N = -M^T (blocks are real, so dagger = transpose)
+            out += [R - R.T, E - E.T, F - F.T, G - G.T, H + H.T, M + N.T]
+        return out
 
-    def block(blk) -> Matrix:
-        r, c = shapes[blk]
-        return Matrix(
-            [[ring.sym(f"{blk}_{i}_{j}") for j in range(c)] for i in range(r)]
-        ) if r * c else Matrix.zeros(r, c, ring.zero)
-
-    R, E, F, G, H, M, N = (block(b) for b in ("R", "E", "F", "G", "H", "M", "N"))
-    beta0, betas, beta4 = beta_from_blocks(car_l, car_r, R, E, F, G, H, M, N, ring=ring)
-    etas_l = [_lift(car_l.eta(a), ring) for a in range(3)]
-    etas_r = [_lift(car_r.eta(a), ring) for a in range(3)]
-    etas_l_h = [_lift(car_l.eta(a).H, ring) for a in range(3)]
-    iu = ring.const(I)
-
-    absorber = _RowAbsorber(len(names))
-
-    def feed(resid: Matrix):
-        for row in resid.entries:
-            for p in row:
-                if not p:
-                    continue
-                re_row, im_row = _linear_rows_from_poly(p, names)
-                if any(re_row):
-                    absorber.add(re_row)
-                if any(im_row):
-                    absorber.add(im_row)
-
-    for a in range(3):
-        feed(etas_l_h[a] @ beta4 - beta4 @ etas_r[a] + betas[a] * iu)
-        feed(etas_l_h[a] @ beta0 - beta0 @ etas_r[a])
-        for b in range(3):
-            resid = etas_l_h[a] @ betas[b] - betas[b] @ etas_r[a]
-            if a == b:
-                resid = resid + beta0 * iu
-            feed(resid)
-    if hermitian:
-        # real-parameter hermiticity: R, E, F, G symmetric; H antisymmetric;
-        # N = -M^T (blocks are real, so dagger = transpose)
-        def sym_rows(blk, anti=False):
-            r, c = shapes[blk]
-            for i in range(r):
-                for j in range(c):
-                    if j <= i and not anti:
-                        continue
-                    if j < i and anti:
-                        continue
-                    row = [ZERO] * len(names)
-                    row[offsets[blk] + i * c + j] = ONE
-                    if anti:
-                        row[offsets[blk] + j * c + i] = row[offsets[blk] + j * c + i] + ONE
-                    else:
-                        row[offsets[blk] + j * c + i] = row[offsets[blk] + j * c + i] - ONE
-                    if any(row):
-                        absorber.add(row)
-
-        for blk in ("R", "E", "F", "G"):
-            sym_rows(blk)
-        sym_rows("H", anti=True)
-        rm, cm = shapes["M"]
-        for i in range(rm):
-            for j in range(cm):
-                row = [ZERO] * len(names)
-                row[offsets["M"] + i * cm + j] = ONE
-                row[offsets["N"] + j * shapes["N"][1] + i] = ONE
-                absorber.add(row)
-
-    coeff = absorber.matrix()
-    if coeff.rows == 0:
-        sols = [tuple(ONE if k == j else ZERO for k in range(len(names)))
-                for j in range(len(names))]
-    else:
-        sols = nullspace(coeff)
-    basis = []
-    nr = shapes["R"][0] * shapes["R"][1]
-    ne = shapes["E"][0] * shapes["E"][1]
-    re_vecs = []
-    for v in sols:
-        rvec = v[offsets["R"]:offsets["R"] + nr]
-        evec = v[offsets["E"]:offsets["E"] + ne]
-        re_vecs.append(tuple(rvec) + tuple(evec))
-    span = canonical_span(re_vecs, nr + ne)
-    for vec in span.entries:
-        basis.append(_unflatten_re(vec, shapes["R"], shapes["E"]))
-    return SolutionSpace(car_l.labels, car_r.labels, shapes["R"], shapes["E"], basis, hermitian)
+    sols = linear_kernel(apply, [r_shape, e_shape, r_shape, e_shape, r_shape,
+                                 (car_l.N, car_r.M), (car_l.M, car_r.N)])
+    span = canonical_span([_flatten_re(R, E) for R, E, *_ in sols],
+                          r_shape[0] * r_shape[1] + e_shape[0] * e_shape[1])
+    basis = [_unflatten(vec, [r_shape, e_shape]) for vec in span.entries]
+    return SolutionSpace(car_l.labels, car_r.labels, r_shape, e_shape, basis, hermitian)
 
 
 # -- beta systems on a single carrier --------------------------------------------
@@ -454,26 +323,6 @@ def verify_conditions(bs: BetaSystem) -> dict:
         if not (Ss[a] @ b4 - b4 @ Ss[a]).is_zero():
             bad.append(("S,beta4", a))
     return {"ok": not bad, "violations": bad}
-
-
-def boost_commutant(rep: Representation):
-    """Invertible-candidate basis of matrices commuting with all eta_a and
-    S_a (the allowed equivalence transformations)."""
-    dim = rep.dim
-    rows = []
-    for k in range(dim * dim):
-        W = Matrix.zeros(dim, dim)
-        W.entries[k // dim][k % dim] = ONE
-        resid = []
-        for a in range(3):
-            resid.append(W @ rep.eta[a] - rep.eta[a] @ W)
-            resid.append(W @ rep.S[a] - rep.S[a] @ W)
-        rows.append([x for rm in resid for rr in rm.entries for x in rr])
-    coeff = Matrix(rows).T
-    out = []
-    for v in nullspace(coeff):
-        out.append(Matrix([[v[i * dim + j] for j in range(dim)] for i in range(dim)]))
-    return out
 
 
 def normalize_equivalence(bs: BetaSystem) -> dict:

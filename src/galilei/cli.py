@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("catalog")
     q.add_argument("--name", required=True)
     q.add_argument("--params", nargs="*", help="k=v pairs")
-    q.add_argument("--emit", default="json", choices=("json",))
     q.set_defaults(func=cmd_catalog)
 
     q = sub.add_parser("spin")
@@ -404,7 +402,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    threads = os.environ.get("GALILEI_THREADS", "1")
     try:
         rc = args.func(args)
     except (FieldExprError, ValueError) as exc:
@@ -413,7 +410,6 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal-consistency fault: {exc}", file=sys.stderr)
         return 3
-    _ = threads
     return rc
 
 

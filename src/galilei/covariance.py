@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, ONE, I
-from .matrix import Matrix, SubspaceBasis, nullspace, nilpotent_exp, canonical_span
+from .matrix import Matrix, SubspaceBasis, nilpotent_exp, canonical_span, linear_kernel
 from .poly import PolyRing, Poly
 from .reps import Representation, spin1_matrix, eps
 from .beta import _lift
@@ -176,21 +176,11 @@ def finite_boost_covariance(bs, symbolic=True, samples=0, seed=0) -> dict:
 
 def find_lambda_space(rep: Representation) -> list:
     """All matrices with S_a L = L S_a and eta_a^H L = L eta_a, exactly."""
-    dim = rep.dim
-    rows = []
-    for k in range(dim * dim):
-        L = Matrix.zeros(dim, dim)
-        L.entries[k // dim][k % dim] = ONE
-        resid = []
-        for a in range(3):
-            resid.append(rep.S[a] @ L - L @ rep.S[a])
-            resid.append(rep.eta[a].H @ L - L @ rep.eta[a])
-        rows.append([x for rm in resid for rr in rm.entries for x in rr])
-    coeff = Matrix(rows).T
-    out = []
-    for v in nullspace(coeff):
-        out.append(Matrix([[v[i * dim + j] for j in range(dim)] for i in range(dim)]))
-    return out
+    def apply(L):
+        return [r for a in range(3) for r in (rep.S[a] @ L - L @ rep.S[a],
+                                               rep.eta[a].H @ L - L @ rep.eta[a])]
+
+    return [L for (L,) in linear_kernel(apply, [(rep.dim, rep.dim)])]
 
 
 def lambda_satisfies(rep: Representation, L: Matrix):

@@ -603,15 +603,3 @@ def parse_truncation(text: str):
         else:
             out.append((name.strip(), cap, 10 ** 6))
     return out
-
-
-def spin_orbit_expand(report: ReductionReport, co: CoupledOperator, kappa,
-                      truncation) -> ReductionReport:
-    """Second similarity transform for the spin-orbit slices.
-
-    Alias of second_conjugation with a guard: a truncation is mandatory
-    (the slice exponents are not nilpotent, so the expansion only closes
-    inside a declared ideal)."""
-    if not truncation:
-        raise ValueError("a truncation spec dominating the dropped orders is required")
-    return second_conjugation(report, co, kappa, truncation)

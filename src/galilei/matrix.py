@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, ONE, as_grat
+from .poly import Poly, PolyRing
 
 
 def _one_like(x):
@@ -345,6 +346,89 @@ class SubspaceBasis:
 def solve_homogeneous(coeff: Matrix) -> SubspaceBasis:
     """Full solution space of coeff @ x = 0, exact."""
     return SubspaceBasis(coeff.cols, nullspace(coeff))
+
+
+class _RowAbsorber:
+    """Incremental rref over GRat rows; keeps only independent rows."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []  # list of (pivot_col, row)
+
+    def add(self, row):
+        row = list(row)
+        for pc, r in self.rows:
+            if row[pc]:
+                f = row[pc]
+                row = [x - f * y for x, y in zip(row, r)]
+        for c in range(self.width):
+            if row[c]:
+                inv = row[c].inverse()
+                row = [x * inv for x in row]
+                self.rows.append((c, row))
+                self.rows.sort(key=lambda t: t[0])
+                return True
+        return False
+
+    def matrix(self) -> Matrix:
+        if not self.rows:
+            return Matrix.zeros(0, self.width)
+        return Matrix([r for _, r in self.rows])
+
+
+def _coefficient_rows(p, width):
+    """Real and imaginary coefficient rows of a linear form in the unknowns."""
+    if not isinstance(p, Poly):
+        raise ValueError(f"affine term {p} in a homogeneous linear equation")
+    re_row = [ZERO] * width
+    im_row = [ZERO] * width
+    for e, c in p.terms.items():
+        idx = [k for k, pw in enumerate(e) if pw]
+        if not idx:
+            raise ValueError(f"affine term {c} in a homogeneous linear equation")
+        if len(idx) != 1 or e[idx[0]] != 1:
+            raise ValueError(f"nonlinear term in a linear equation: {p}")
+        re_row[idx[0]] = GRat(c.re)
+        im_row[idx[0]] = GRat(c.im)
+    return re_row, im_row
+
+
+def linear_kernel(apply, shapes):
+    """Basis of the real solutions of the linear matrix equation apply(*X) = 0.
+
+    X is a tuple of real matrices, X[k] of shape shapes[k]; ``apply``
+    returns an iterable of matrices that must all vanish and must be
+    homogeneous linear in the entries of X.  It is evaluated once, on
+    symbolic blocks over a PolyRing of the unknowns; every nonzero
+    residual entry contributes its real and its imaginary coefficient
+    row (ValueError if it is not linear).  Returns the canonical
+    nullspace basis, each vector unflattened into a tuple of GRat
+    matrices of the given shapes.
+    """
+    width = sum(r * c for r, c in shapes)
+    if not width:
+        return []
+    ring = PolyRing([f"x{k}_{i}_{j}" for k, (r, c) in enumerate(shapes)
+                     for i in range(r) for j in range(c)])
+    absorber = _RowAbsorber(width)
+    for resid in apply(*_unflatten([ring.sym(n) for n in ring.names], shapes)):
+        for row in resid.entries:
+            for p in row:
+                if p:
+                    for coeffs in _coefficient_rows(p, width):
+                        if any(coeffs):
+                            absorber.add(coeffs)
+    return [_unflatten(v, shapes) for v in nullspace(absorber.matrix())]
+
+
+def _unflatten(vec, shapes):
+    """Row-major split of a flat sequence into matrices of the given shapes."""
+    out = []
+    k = 0
+    for r, c in shapes:
+        out.append(Matrix([vec[k + i * c:k + (i + 1) * c] for i in range(r)], cols=c))
+        k += r * c
+    return tuple(out)
 
 
 def det(m: Matrix):

@@ -21,8 +21,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I
-from .matrix import Matrix, rank, nullspace, nilpotency_index, rref, canonical_span
+from .scalars import GRat, ZERO, I
+from .matrix import (Matrix, rank, nullspace, nilpotency_index, rref, canonical_span,
+                     linear_kernel)
 from .poly import PolyRing
 
 EPS = {
@@ -281,37 +282,11 @@ def _abc_ok(A, B, C, n, m):
     return True
 
 
-def _endo_space(A, B, C, n, m):
-    """Basis of {(X, Y): XA=AX, XB=BY, YC=CX} as flat GRat vectors."""
-    nv = n * n + m * m
-    rows = []
-
-    def unit(k):
-        v = [ZERO] * nv
-        v[k] = ONE
-        X = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        Y = Matrix([[v[n * n + i * m + j] for j in range(m)] for i in range(m)])
-        return X, Y
-
-    conditions = []
-    for k in range(nv):
-        X, Y = unit(k)
-        resid = []
-        if n:
-            resid.append(X @ A - A @ X)
-        if n and m:
-            resid.append(X @ B - B @ Y)
-            resid.append(Y @ C - C @ X)
-        col = []
-        for rmat in resid:
-            for row in rmat.entries:
-                col.extend(row)
-        conditions.append(col)
-    if not conditions or not conditions[0]:
-        coeff = Matrix.zeros(0, nv)
-    else:
-        coeff = Matrix(conditions).T
-    return [list(v) for v in nullspace(coeff)], nv
+def endomorphisms(A, B, C, n, m):
+    """Basis of the endomorphism ring {(X, Y): XA = AX, XB = BY, YC = CX}
+    of the module given by the triple (A, B, C), as (X, Y) pairs."""
+    return linear_kernel(lambda X, Y: [X @ A - A @ X, X @ B - B @ Y, Y @ C - C @ X],
+                         [(n, n), (m, m)])
 
 
 def _is_indecomposable(A, B, C, n, m) -> bool:
@@ -321,19 +296,13 @@ def _is_indecomposable(A, B, C, n, m) -> bool:
     radical is computed as the kernel of the trace form of the regular
     representation (characteristic zero).
     """
-    basis, nv = _endo_space(A, B, C, n, m)
-    dim_e = len(basis)
+    mats = endomorphisms(A, B, C, n, m)
+    dim_e = len(mats)
     if dim_e == 0:
         return False  # zero module
     if dim_e == 1:
         return True
 
-    def to_mats(v):
-        X = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        Y = Matrix([[v[n * n + i * m + j] for j in range(m)] for i in range(m)])
-        return X, Y
-
-    mats = [to_mats(v) for v in basis]
     # Gram matrix of the trace form tr(xy) on End (as matrices acting on
     # the carrier pair); its kernel is the radical in char 0.
     gram = []

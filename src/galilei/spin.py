@@ -206,12 +206,6 @@ def _rational_roots(poly: Poly, var: str):
     return roots
 
 
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
-
-
 def _pencil_roots(F: Matrix, Rb: Matrix):
     """Values of e where e F + 2 R is singular (square blocks), with
     None meaning identically singular."""

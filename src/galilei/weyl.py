@@ -246,9 +246,6 @@ class WeylElement:
     def __hash__(self):
         return hash((self.algebra, frozenset((e, hash(c)) for e, c in self.terms.items())))
 
-    def param_degree(self, name: str) -> int:
-        return max((c.degree_in(name) for c in self.terms.values()), default=0)
-
     def truncate(self, spec) -> "WeylElement":
         """Drop monomials whose central-symbol exponents leave the declared
         window.  spec: iterable of (name, lo, hi) exponent bounds."""

@@ -28,6 +28,16 @@ def test_solution_space_dims():
     assert solve_beta4_space("D(2,1,0)", "D(2,1,0)").dim == 3
 
 
+def test_hermitian_cross_pair_is_rejected():
+    # hermiticity ties each block to its own transpose, which only a self
+    # pair has; D(1,0,0) x D(0,1,0) once failed with IndexError and the
+    # reverse order once returned a space
+    for left, right in (("D(1,0,0)", "D(0,1,0)"), ("D(0,1,0)", "D(1,0,0)")):
+        with pytest.raises(ValueError, match="self pairs only"):
+            solve_beta4_space(left, right, hermitian=True)
+        assert solve_beta4_space(left, right, hermitian=False).dim == 0
+
+
 def test_adjoint_symmetry_of_dims():
     import itertools
 

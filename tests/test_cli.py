@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from galilei.cli import main, parse_field_expr, FieldExprError
 from galilei.poly import PolyRing
+from galilei.reps import TABLE1
 
 
 def run_cli(argv, capsys):
@@ -42,6 +44,22 @@ def test_solve_beta_trivial_pair(capsys):
                          capsys)
     assert rc == 0
     assert json.loads(out)["dim"] == 0
+
+
+# sha256 of the concatenated solve-beta JSON of all 100 ordered Table-1 pairs,
+# recorded at commit 9d785d9 (before solve_beta4_space ran on linear_kernel)
+SOLVE_BETA_TABLE1_SHA256 = "8d79660f610410c85210bef77324bc3e21d8d1a008ee5b2f3f74dc2783333095"
+
+
+def test_solve_beta_table1_golden(capsys):
+    labels = [f"D({n},{m},{l})" for (n, m, l) in sorted(TABLE1)]
+    digest = hashlib.sha256()
+    for left in labels:
+        for right in labels:
+            rc, out, _ = run_cli(["solve-beta", "--left", left, "--right", right], capsys)
+            assert rc == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == SOLVE_BETA_TABLE1_SHA256
 
 
 def test_spin_verbs(capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from galilei.matrix import (
     Matrix,
     SubspaceBasis,
+    canonical_span,
     det,
+    linear_kernel,
     nilpotent_exp,
     nullspace,
     rank,
@@ -16,7 +18,7 @@ from galilei.matrix import (
 )
 from galilei.poly import PolyRing
 from galilei.scalars import GRat, I, ONE, ZERO
-from galilei import reps
+from galilei import beta, covariance, reps
 
 
 def gauss_rank_oracle(rows):
@@ -176,3 +178,123 @@ def test_subspace_basis_equality():
     assert s1 == s2
     assert s1.contains((GRat(3), GRat(6)))
     assert not s1.contains((ONE, ONE))
+
+
+# -- linear_kernel ----------------------------------------------------------------
+
+
+def _unit_tuples(shapes):
+    """Every tuple of matrices of the given shapes with a single entry 1."""
+    nv = sum(r * c for r, c in shapes)
+    for k in range(nv):
+        flat = [ONE if j == k else ZERO for j in range(nv)]
+        out, off = [], 0
+        for r, c in shapes:
+            out.append(Matrix([flat[off + i * c:off + (i + 1) * c] for i in range(r)], cols=c))
+            off += r * c
+        yield tuple(out)
+
+
+def probed_rank(apply, shapes):
+    """Rank of the complex coefficient matrix of ``apply``: column k holds
+    the residual entries of apply evaluated on the k-th unit tuple.
+
+    The columns are very sparse, so they are eliminated as dicts (rank of
+    the transpose) instead of through the dense Bareiss rank."""
+    pivots = {}
+    for X in _unit_tuples(shapes):
+        col = {k: x for k, x in enumerate(x for m in apply(*X) for row in m.entries
+                                          for x in row) if x}
+        while col:
+            lead = min(col)
+            if lead not in pivots:
+                pivots[lead] = col
+                break
+            piv = pivots[lead]
+            f = col[lead] / piv[lead]
+            for k, x in piv.items():
+                y = col.get(k, ZERO) - f * x
+                if y:
+                    col[k] = y
+                else:
+                    col.pop(k, None)
+    return len(pivots)
+
+
+def test_linear_kernel_zero_size_shapes():
+    assert linear_kernel(lambda X: [X], [(0, 3)]) == []
+    assert linear_kernel(lambda X, Y: [X, Y], [(0, 0), (2, 0)]) == []
+
+
+def test_linear_kernel_no_conditions_gives_unit_basis():
+    def apply(X, Y):
+        return [Matrix.zeros(0, 2), X - X, Y * 0]
+
+    sols = linear_kernel(apply, [(1, 2), (2, 1)])
+    assert sols == list(_unit_tuples([(1, 2), (2, 1)]))
+
+
+def test_linear_kernel_rejects_nonlinear_and_affine():
+    with pytest.raises(ValueError, match="nonlinear"):
+        linear_kernel(lambda X: [X @ X], [(2, 2)])
+    with pytest.raises(ValueError, match="affine"):
+        linear_kernel(lambda X: [X - Matrix.identity(2)], [(2, 2)])
+    with pytest.raises(ValueError, match="affine"):
+        linear_kernel(lambda X: [X * 0 + Matrix.identity(2)], [(2, 2)])
+
+
+KERNEL_CASES = [
+    # commutant of a complex matrix: real X with XJ = JX
+    (lambda X: [X @ reps.PAULI[1] - reps.PAULI[1] @ X], [(2, 2)]),
+    # Sylvester equation A X = X B with a shared eigenvalue, rectangular X
+    (lambda X: [Matrix.from_rational_rows([[1, 1], [0, 2]]) @ X
+                - X @ Matrix.from_rational_rows([[2, 0, 0], [0, 3, 0], [1, 0, 2]])],
+     [(2, 3)]),
+    # two coupled blocks with an imaginary coupling
+    (lambda X, Y: [X @ reps.k_row(0) - reps.k_row(0) @ Y, Y - Y.T],
+     [(1, 1), (3, 3)]),
+]
+
+
+@pytest.mark.parametrize("apply,shapes", KERNEL_CASES)
+def test_linear_kernel_solutions_satisfy_apply(apply, shapes):
+    sols = linear_kernel(apply, shapes)
+    assert sols
+    for X in sols:
+        assert [m.shape for m in X] == shapes
+        assert all(x.is_rational() for m in X for row in m.entries for x in row)
+        assert all(m.is_zero() for m in apply(*X))
+    flat = [tuple(x for m in X for row in m.entries for x in row) for X in sols]
+    nv = sum(r * c for r, c in shapes)
+    assert canonical_span(flat, nv).rows == len(sols)
+    assert len(sols) == nv - probed_rank(apply, shapes)
+
+
+def _lambda_apply(rep):
+    def apply(L):
+        return [r for a in range(3) for r in (rep.S[a] @ L - L @ rep.S[a],
+                                               rep.eta[a].H @ L - L @ rep.eta[a])]
+    return apply
+
+
+TABLE1_LABELS = [f"D({n},{m},{l})" for (n, m, l) in sorted(reps.TABLE1)]
+
+
+@pytest.mark.parametrize("label", TABLE1_LABELS + ["S1", "S2"])
+def test_linear_kernel_real_equals_complex(label):
+    """The callers' residual rows are real or purely imaginary, so the real
+    kernel has the dimension of the complex one; the complex coefficient
+    matrix is built here by probing unit matrices."""
+    rep = reps.build_text(label)
+    n = rep.dim
+    assert len(covariance.find_lambda_space(rep)) == \
+        n * n - probed_rank(_lambda_apply(rep), [(n, n)])
+    if label.startswith("D"):
+        car = beta.carrier_for(label)
+        A, B, C, N, M = car.A, car.B, car.C, car.N, car.M
+
+        def endo(X, Y):
+            return [X @ A - A @ X, X @ B - B @ Y, Y @ C - C @ X]
+
+        assert len(reps.endomorphisms(A, B, C, N, M)) == \
+            N * N + M * M - probed_rank(endo, [(N, N), (M, M)])
