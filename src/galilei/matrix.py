@@ -82,7 +82,8 @@ class Matrix:
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            ],
+            cols=self.cols,
         )
 
     def __sub__(self, other):
@@ -264,27 +265,10 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination."""
+    """Exact rank: the number of pivots of ``rref`` (field entries)."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    a = [row[:] for row in m.entries]
-    nr, nc = m.rows, m.cols
-    prev = ONE
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nr):
-            fi = a[i][c]
-            a[i] = [(piv * a[i][j] - fi * a[r][j]) / prev for j in range(nc)]
-        prev = piv
-        r += 1
-        if r == nr:
-            break
-    return r
+    return len(rref(m)[1])
 
 
 def nullspace(m: Matrix):

@@ -1,79 +1,124 @@
 """Exact Gaussian-rational scalars.
 
-Every number in this package is a ``GRat``: a + b*i with arbitrary-precision
-rational a, b.  There is no floating point anywhere; equality is exact.
+Every number in this package is a ``GRat``: (a + b*i)/d with plain Python
+ints a, b, d, held in the normal form d > 0 and gcd(a, b, d) == 1.  That
+form is canonical, so equality compares three ints and is exact.  There
+is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_RatLike = (int, Fraction)
+_new = object.__new__
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _grat(a: int, b: int, d: int) -> "GRat":
+    """The GRat (a + b*i)/d, for ints a, b and d > 0, in normal form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GRat)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _ratio(x) -> tuple[int, int]:
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class GRat:
-    """Gaussian rational a + b*i, immutable and hashable.
+def _lift(x):
+    """x as a GRat when it is an exact scalar (GRat, int, Fraction), else None."""
+    if isinstance(x, GRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GRat(x)
+    return None
 
-    ``Fraction`` keeps both parts in lowest terms with positive denominator,
-    which makes the representation canonical.
+
+class GRat:
+    """Gaussian rational re + im*i, immutable and hashable.
+
+    ``GRat(re, im)`` takes ints or Fractions; ``re`` and ``im`` read back
+    as Fractions in lowest terms.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+    def __new__(cls, re=0, im=0):
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        return _grat(p * s, r * q, q * s)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GRat is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- ring / field structure -------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (GRat, int, Fraction)):
-            return NotImplemented
-        other = as_grat(other)
-        return GRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GRat:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        d, g = self._d, other._d
+        if d == g:
+            return _grat(self._a + other._a, self._b + other._b, d)
+        return _grat(self._a * g + other._a * d, self._b * g + other._b * d, d * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GRat(-self.re, -self.im)
+        return _grat(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        if not isinstance(other, (GRat, int, Fraction)):
-            return NotImplemented
-        return self + (-as_grat(other))
+        if type(other) is not GRat:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        d, g = self._d, other._d
+        if d == g:
+            return _grat(self._a - other._a, self._b - other._b, d)
+        return _grat(self._a * g - other._a * d, self._b * g - other._b * d, d * g)
 
     def __rsub__(self, other):
-        if not isinstance(other, (GRat, int, Fraction)):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        return as_grat(other) + (-self)
+        return other - self
 
     def __mul__(self, other):
-        if not isinstance(other, (GRat, int, Fraction)):
-            return NotImplemented
-        other = as_grat(other)
-        return GRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GRat:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        a, b, e, f = self._a, self._b, other._a, other._b
+        if b == 0 and f == 0:
+            return _grat(a * e, 0, self._d * other._d)
+        return _grat(a * e - b * f, a * f + b * e, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GRat":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero GRat")
-        return GRat(self.re / n, -self.im / n)
+        return _grat(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * as_grat(other).inverse()
@@ -95,51 +140,51 @@ class GRat:
         return out
 
     def conjugate(self) -> "GRat":
-        return GRat(self.re, -self.im)
+        return _grat(self._a, -self._b, self._d)
 
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __eq__(self, other):
-        try:
-            other = as_grat(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GRat:
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        # equal to hash((re, im)), so the order of sets and dicts keyed by
+        # GRat, and any output that follows it, is that of the Fraction parts
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- text form ----------------------------------------------------------
     # "a/b" and "a/b+c/d*i", no spaces (External Interfaces).
 
     def __str__(self):
-        if self.im == 0:
-            return _fstr(self.re)
-        if self.re == 0:
-            return f"{_fstr(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{_fstr(self.re)}{sign}{_fstr(abs(self.im))}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
     def __repr__(self):
         return f"GRat({self})"
 
 
-def _fstr(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def as_grat(x) -> GRat:
-    if isinstance(x, GRat):
-        return x
-    if isinstance(x, _RatLike):
-        return GRat(x)
-    raise TypeError(f"cannot coerce {x!r} to GRat")
+    z = _lift(x)
+    if z is None:
+        raise TypeError(f"cannot coerce {x!r} to GRat")
+    return z
 
 
 def parse_grat(text: str) -> GRat:

@@ -22,7 +22,7 @@ from galilei import beta, covariance, reps
 
 
 def gauss_rank_oracle(rows):
-    """Plain fraction Gauss elimination, independent of the Bareiss path."""
+    """Plain Gauss elimination with a division per row, written apart from matrix.rref."""
     a = [[GRat(x) if not isinstance(x, GRat) else x for x in r] for r in rows]
     r = 0
     for c in range(len(a[0]) if a else 0):
@@ -45,6 +45,26 @@ def test_rank_examples():
     beta4 = Matrix.direct_sum([Matrix.identity(3), Matrix.zeros(1, 1)])
     assert rank(beta4) == 3
     assert rank(Matrix.zeros(0, 5)) == 0
+
+
+def test_rank_sparse():
+    # one nonzero per row, landing in 45 of the 60 columns: rank 45
+    hits = Matrix([[GRat(i + 1, i % 3) if j == i % 45 else ZERO for j in range(60)]
+                   for i in range(300)])
+    assert rank(hits) == 45
+    # rows e_j - e_(j+1 mod 60), each five times: the incidence matrix of a
+    # 60-cycle, whose rank is 59
+    cycle = Matrix([[ONE if k == j % 60 else -ONE if k == (j + 1) % 60 else ZERO
+                     for k in range(60)] for j in range(300)])
+    assert rank(cycle) == 59
+    assert rank(cycle.T) == 59
+
+
+def test_sum_of_empty_matrices_keeps_columns():
+    s = Matrix.zeros(0, 3) + Matrix.zeros(0, 3)
+    assert s.shape == (0, 3)
+    assert (s @ Matrix.zeros(3, 2)).shape == (0, 2)
+    assert (Matrix.zeros(0, 3) - Matrix.zeros(0, 3)).shape == (0, 3)
 
 
 def test_nullspace_examples():
@@ -200,7 +220,7 @@ def probed_rank(apply, shapes):
     the residual entries of apply evaluated on the k-th unit tuple.
 
     The columns are very sparse, so they are eliminated as dicts (rank of
-    the transpose) instead of through the dense Bareiss rank."""
+    the transpose), a route apart from the dense ``matrix.rank``."""
     pivots = {}
     for X in _unit_tuples(shapes):
         col = {k: x for k, x in enumerate(x for m in apply(*X) for row in m.entries

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galilei.poly import PolyRing
 from galilei.scalars import GRat, I, ONE, ZERO
@@ -113,6 +113,7 @@ def test_normal_order_is_multiplicative(w1, w2):
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=15)
+@example(85896)  # the slowest seed seen, replayed under the default deadline
 def test_jacobi_identity(seed):
     rng = random.Random(seed)
 
