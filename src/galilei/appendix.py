@@ -305,8 +305,9 @@ def reproduce_appendix(include_amended=True):
     retried against the amendments in AMENDED_CELLS.
     """
     reports = []
+    spaces = {}  # (left, right) -> (SolutionSpace, span), for this call only
     for cell in CELLS:
-        rep = _cell_report(cell)
+        rep = _cell_report(cell, spaces)
         if include_amended and not rep["span_match"]:
             key = (cell.table, cell.col, cell.row)
             if key in AMENDED_CELLS:
@@ -317,7 +318,7 @@ def reproduce_appendix(include_amended=True):
                     _rows(AMENDED_CELLS[key].get("E", _join(cell.E))),
                     cell.table,
                 )
-                rep2 = _cell_report(fixed)
+                rep2 = _cell_report(fixed, spaces)
                 rep["amended"] = True
                 rep["amended_span_match"] = rep2["span_match"]
                 rep["amended_membership"] = rep2["membership"]
@@ -359,7 +360,15 @@ def _sign_variants(vectors, r_size, e_size):
     return variants
 
 
-def _cell_report(cell: Cell) -> dict:
+def _solve(spaces, left, right):
+    """The solution space of a label pair and its span, solved once per pair."""
+    if (left, right) not in spaces:
+        space = solve_beta4_space(left, right)
+        spaces[left, right] = space, space.span()
+    return spaces[left, right]
+
+
+def _cell_report(cell: Cell, spaces) -> dict:
     col_l, row_l = _label(cell.col), _label(cell.row)
     try:
         base_frozen, dirs_frozen = cell.vectors(unfreeze=False)
@@ -367,7 +376,7 @@ def _cell_report(cell: Cell) -> dict:
     except ShapeMismatch as exc:
         return {
             "cell": f"T{cell.table}[{col_l} x {row_l}]",
-            "computed_dim": solve_beta4_space(col_l, row_l).dim,
+            "computed_dim": _solve(spaces, col_l, row_l)[0].dim,
             "fixture_dim_frozen": 0,
             "fixture_dim_unfrozen": 0,
             "membership": False,
@@ -381,8 +390,7 @@ def _cell_report(cell: Cell) -> dict:
     for ckey in _label_candidates(cell.col):
         for rkey in _label_candidates(cell.row):
             self_cell = ckey == rkey
-            space = solve_beta4_space(_label(ckey), _label(rkey))
-            span = space.span()
+            space, span = _solve(spaces, _label(ckey), _label(rkey))
             (rn, rm), (en, em) = (ckey[0], rkey[0]), (ckey[1], rkey[1])
             r_size, e_size = rn * rm, en * em
             if r_size + e_size != span.dim:

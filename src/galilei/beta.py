@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I
+from .scalars import GRat, ZERO, ONE, I, UsageError
 from .matrix import (
     Matrix,
     SubspaceBasis,
@@ -81,7 +81,7 @@ def carrier_for(labels) -> VectorCarrier:
         labels = parse_label(labels)
     labels = tuple(labels)
     if any(l.kind != "D" for l in labels):
-        raise ValueError("vector/scalar labels only (spinor systems are closed-form)")
+        raise UsageError("vector/scalar labels only (spinor systems are closed-form)")
     As, Bs, Cs = [], [], []
     N = M = 0
     for l in labels:

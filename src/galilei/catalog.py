@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I
+from .scalars import GRat, ZERO, ONE, I, UsageError
 from .matrix import Matrix, det, nullspace, rank, SubspaceBasis, evaluate_matrix
 from .poly import PolyRing, Poly
 from .reps import (
@@ -587,7 +587,7 @@ def canonical(name: str, **params):
         "rarita_schwinger": rarita_schwinger_operator,
     }
     if name not in builders:
-        raise ValueError(f"unknown canonical system {name!r}")
+        raise UsageError(f"unknown canonical system {name!r}")
     return builders[name]()
 
 

@@ -1,7 +1,7 @@
 """Command-line frontend: deterministic JSON reports over the library.
 
 Exit codes: 0 all requested verifications passed, 1 verification failed,
-2 usage error, 3 internal-consistency fault.
+2 usage error, 3 internal fault (a failed consistency check or algebra error).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, parse_grat
+from .scalars import GRat, ZERO, ONE, UsageError
 from .matrix import Matrix, rank, nullspace
 from .poly import PolyRing, Poly
 from . import reps
@@ -45,7 +45,14 @@ def _matrix_json(m: Matrix) -> dict:
 # factor := rational | 'x1'|'x2'|'x3' | '(' expr ')' | factor '^' nonneg-int
 
 
-class FieldExprError(ValueError):
+def _rational(text: str) -> GRat:
+    try:
+        return GRat(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad rational {text!r}") from None
+
+
+class FieldExprError(UsageError):
     def __init__(self, msg, pos):
         super().__init__(f"{msg} at position {pos}")
         self.pos = pos
@@ -147,7 +154,10 @@ def cmd_verify_rep(args) -> int:
 def cmd_classify(args) -> int:
     pairs = None
     if args.pairs:
-        pairs = [tuple(int(x) for x in p.split(",")) for p in args.pairs.split(";")]
+        try:
+            pairs = [tuple(int(x) for x in p.split(",")) for p in args.pairs.split(";")]
+        except ValueError:
+            raise UsageError(f"bad --pairs {args.pairs!r}") from None
     found = reps.classify_bruteforce(pairs=pairs)
     expected = sorted(reps.table1_signatures())
     if pairs is not None:
@@ -186,8 +196,8 @@ def cmd_appendix(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    params = dict(kv.split("=") for kv in (args.params or []))
-    obj = cat.canonical(args.name, **{k: GRat(Fraction(v)) for k, v in params.items()})
+    params = {k: _rational(v) for k, _, v in (kv.partition("=") for kv in args.params or [])}
+    obj = cat.canonical(args.name, **params)
     if isinstance(obj, list):
         payload = {"matrices": [_matrix_json(m) for m in obj]}
     elif isinstance(obj, Matrix):
@@ -216,7 +226,7 @@ def _system_for_spin(name: str):
         return spin_mod.generic_instance(bs, {"nu": GRat(2)})
     if name == "dkp_spin0":
         return cat.dkp_spin0_system()
-    raise ValueError(f"unknown system {name!r}")
+    raise UsageError(f"unknown system {name!r}")
 
 
 def cmd_spin(args) -> int:
@@ -278,11 +288,11 @@ def cmd_reduce(args) -> int:
         bs = cat.levy_leblond()
         phys, sp = (0, 1), [s * half for s in PAULI]
         if args.coupling == "anomalous":
-            lam = (cat.levy_leblond().beta0 * GRat(Fraction(args.nu_coupling))
-                   + cat.ll_lambda_generator() * GRat(Fraction(args.mu_coupling)))
+            lam = (cat.levy_leblond().beta0 * _rational(args.nu_coupling)
+                   + cat.ll_lambda_generator() * _rational(args.mu_coupling))
             co = inter_mod.couple_anomalous(bs, fc, lam, phys, sp)
-            subs = {"lam1": alg.params.const(GRat(Fraction(args.lambda1))),
-                    "lam2": alg.params.const(GRat(Fraction(args.lambda2)))}
+            subs = {"lam1": alg.params.const(_rational(args.lambda1)),
+                    "lam2": alg.params.const(_rational(args.lambda2))}
             co.matrix = co.matrix.map(lambda w: w.subs_params(subs))
         else:
             co = inter_mod.couple_minimal(bs, fc, phys, sp)
@@ -294,13 +304,13 @@ def cmd_reduce(args) -> int:
         phys, sp = (0, 1, 2), [spin1_matrix(a) for a in range(3)]
         if args.coupling == "anomalous":
             co = inter_mod.couple_anomalous(bs, fc, bs.beta0, phys, sp)
-            subs = {"lam1": alg.params.const(GRat(Fraction(args.lambda1))),
-                    "lam2": alg.params.const(GRat(Fraction(args.lambda2)))}
+            subs = {"lam1": alg.params.const(_rational(args.lambda1)),
+                    "lam2": alg.params.const(_rational(args.lambda2))}
             co.matrix = co.matrix.map(lambda w: w.subs_params(subs))
         else:
             co = inter_mod.couple_minimal(bs, fc, phys, sp)
     else:
-        raise ValueError(f"reduce does not support system {args.system!r}")
+        raise UsageError(f"reduce does not support system {args.system!r}")
     trunc = inter_mod.parse_truncation(args.truncate) if args.truncate else None
     report = inter_mod.reduce_coupled(co, truncation=trunc)
     g = inter_mod.extract_g(report, alg)
@@ -404,11 +414,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         rc = args.func(args)
-    except (FieldExprError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal-consistency fault: {exc}", file=sys.stderr)
+    except (AssertionError, ValueError, ArithmeticError) as exc:
+        print(f"internal fault ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     return rc
 

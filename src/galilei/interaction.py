@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I
+from .scalars import GRat, ZERO, ONE, I, UsageError
 from .matrix import Matrix
 from .poly import PolyRing, Poly
 from .weyl import WeylAlgebra, WeylElement, FieldConfig, matrix_exp_nilpotent, matrix_dagger
@@ -597,7 +597,10 @@ def parse_truncation(text: str):
         if not piece:
             continue
         name, _, cap = piece.partition(":")
-        cap = int(cap)
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise UsageError(f"bad truncation cap in {piece!r}") from None
         if cap >= 0:
             out.append((name.strip(), 0, cap))
         else:

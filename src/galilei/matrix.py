@@ -6,6 +6,7 @@ operations (rank, rref, nullspace) require field entries, i.e. GRat.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, ONE, as_grat
@@ -62,10 +63,6 @@ class Matrix:
     def from_rational_rows(rows):
         return Matrix([[as_grat(x) for x in r] for r in rows])
 
-    @staticmethod
-    def column(vec):
-        return Matrix([[x] for x in vec])
-
     def map(self, f) -> "Matrix":
         return Matrix([[f(x) for x in r] for r in self.entries], cols=self.cols)
 
@@ -75,19 +72,17 @@ class Matrix:
 
     # -- algebra ------------------------------------------------------------
 
+    def _entrywise(self, other, op):
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
+        rows = [list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]
+        return Matrix(rows, cols=self.cols)
+
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return self.map(lambda x: -x)
@@ -309,12 +304,16 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return self.basis.rows
 
-    def vectors(self):
-        return [tuple(r) for r in self.basis.entries]
-
     def contains(self, vec) -> bool:
-        probe = canonical_span(list(self.vectors()) + [tuple(vec)], self.dim)
-        return probe.rows == self.basis.rows
+        """Membership by reduction against the reduced echelon rows."""
+        v = list(vec)
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in a space of dimension {self.dim}")
+        for row in self.basis.entries:
+            f = v[next(j for j, x in enumerate(row) if x)]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        return not any(v)
 
     def __eq__(self, other):
         return (
@@ -333,47 +332,51 @@ def solve_homogeneous(coeff: Matrix) -> SubspaceBasis:
 
 
 class _RowAbsorber:
-    """Incremental rref over GRat rows; keeps only independent rows."""
+    """Incremental echelon form over sparse GRat rows {col: value}: ``rows``
+    maps each pivot column to a row whose pivot entry is 1 and whose other
+    entries lie right of it; a row is kept only if independent of these."""
 
     def __init__(self, width):
         self.width = width
-        self.rows = []  # list of (pivot_col, row)
+        self.rows = {}
 
-    def add(self, row):
-        row = list(row)
-        for pc, r in self.rows:
-            if row[pc]:
-                f = row[pc]
-                row = [x - f * y for x, y in zip(row, r)]
-        for c in range(self.width):
-            if row[c]:
+    def add(self, row) -> bool:
+        row = dict(row)
+        while row:
+            c = min(row)
+            r = self.rows.get(c)
+            if r is None:
                 inv = row[c].inverse()
-                row = [x * inv for x in row]
-                self.rows.append((c, row))
-                self.rows.sort(key=lambda t: t[0])
+                self.rows[c] = {k: x * inv for k, x in row.items()}
                 return True
+            f = row[c]
+            for k, y in r.items():
+                x = row.get(k, ZERO) - f * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
         return False
 
     def matrix(self) -> Matrix:
-        if not self.rows:
-            return Matrix.zeros(0, self.width)
-        return Matrix([r for _, r in self.rows])
+        return Matrix([[r.get(k, ZERO) for k in range(self.width)]
+                       for _, r in sorted(self.rows.items())], cols=self.width)
 
 
-def _coefficient_rows(p, width):
-    """Real and imaginary coefficient rows of a linear form in the unknowns."""
+def _coefficient_rows(p):
+    """Real and imaginary coefficient rows {col: GRat} of a linear form."""
     if not isinstance(p, Poly):
         raise ValueError(f"affine term {p} in a homogeneous linear equation")
-    re_row = [ZERO] * width
-    im_row = [ZERO] * width
+    re_row, im_row = {}, {}
     for e, c in p.terms.items():
         idx = [k for k, pw in enumerate(e) if pw]
         if not idx:
             raise ValueError(f"affine term {c} in a homogeneous linear equation")
         if len(idx) != 1 or e[idx[0]] != 1:
             raise ValueError(f"nonlinear term in a linear equation: {p}")
-        re_row[idx[0]] = GRat(c.re)
-        im_row[idx[0]] = GRat(c.im)
+        for row, part in zip((re_row, im_row), c.re_im()):
+            if part:
+                row[idx[0]] = part
     return re_row, im_row
 
 
@@ -399,9 +402,8 @@ def linear_kernel(apply, shapes):
         for row in resid.entries:
             for p in row:
                 if p:
-                    for coeffs in _coefficient_rows(p, width):
-                        if any(coeffs):
-                            absorber.add(coeffs)
+                    for coeffs in _coefficient_rows(p):
+                        absorber.add(coeffs)
     return [_unflatten(v, shapes) for v in nullspace(absorber.matrix())]
 
 

@@ -80,7 +80,11 @@ class Poly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
+        if not other:
+            return self
         other = self._lift(other)
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, ZERO) + c
@@ -96,12 +100,17 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
+        if type(other) is GRat:
+            # scale the coefficients; a field has no zero divisors
+            if not other:
+                return self.ring.zero
+            return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
         other = self._lift(other)
         if not self.terms or not other.terms:
             return self.ring.zero

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, I
+from .scalars import GRat, ZERO, I, UsageError
 from .matrix import (Matrix, rank, nullspace, nilpotency_index, rref, canonical_span,
                      linear_kernel)
 from .poly import PolyRing
@@ -116,10 +116,10 @@ def parse_label(text: str):
             continue
         mt = re.fullmatch(r"D\((\d+),(\d+),(\d+)\)", piece)
         if not mt:
-            raise ValueError(f"bad representation label: {piece!r}")
+            raise UsageError(f"bad representation label: {piece!r}")
         key = (int(mt.group(1)), int(mt.group(2)), int(mt.group(3)))
         if key not in TABLE1:
-            raise ValueError(f"unknown representation label: {piece!r}")
+            raise UsageError(f"unknown representation label: {piece!r}")
         labels.append(RepLabel("D", *key))
     return labels
 

@@ -14,6 +14,10 @@ from math import gcd
 _new = object.__new__
 
 
+class UsageError(ValueError):
+    """Input text or an argument outside the accepted forms (CLI exit 2)."""
+
+
 def _grat(a: int, b: int, d: int) -> "GRat":
     """The GRat (a + b*i)/d, for ints a, b and d > 0, in normal form."""
     if d != 1:
@@ -67,6 +71,10 @@ class GRat:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def re_im(self) -> tuple["GRat", "GRat"]:
+        """The real and the imaginary part, each as a GRat."""
+        return _grat(self._a, 0, self._d), _grat(self._b, 0, self._d)
 
     # -- ring / field structure -------------------------------------------
 
@@ -191,7 +199,7 @@ def parse_grat(text: str) -> GRat:
     """Parse the scalar text form: "a/b", "a/b+c/d*i", "i", "-i", "2*i"."""
     s = text.strip().replace(" ", "")
     if not s:
-        raise ValueError("empty scalar")
+        raise UsageError("empty scalar")
     # split into real and imaginary chunks at a +/- that is not leading
     chunks = []
     start = 0

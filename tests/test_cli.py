@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from galilei import beta as beta_mod
 from galilei.cli import main, parse_field_expr, FieldExprError
 from galilei.poly import PolyRing
 from galilei.reps import TABLE1
@@ -107,6 +108,37 @@ def test_usage_error(capsys):
 def test_unknown_verb_usage(capsys):
     rc, _, _ = run_cli(["frobnicate"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-beta", "--left", "D(9,9,9)", "--right", "D(1,1,0)"], "unknown representation label"),
+    (["solve-beta", "--left", "S1", "--right", "D(1,1,0)"], "vector/scalar labels only"),
+    (["verify-rep", "--rep", "D(1,1"], "bad representation label"),
+    (["reduce", "--system", "levy_leblond", "--coupling", "anomalous", "--lambda1", "1/0"],
+     "bad rational"),
+    (["reduce", "--system", "levy_leblond", "--truncate", "e:x"], "bad truncation cap"),
+    (["catalog", "--name", "levy_leblond", "--params", "kappa"], "bad rational"),
+    (["catalog", "--name", "nonesuch"], "unknown canonical system"),
+    (["classify", "--pairs", "1;x"], "bad --pairs"),
+    (["spin", "--system", "nonesuch"], "unknown system"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("no constant pivots"), ZeroDivisionError("x")])
+def test_library_errors_exit_3(capsys, monkeypatch, exc):
+    def broken(left, right):
+        raise exc
+
+    monkeypatch.setattr(beta_mod, "solve_beta4_space", broken)
+    rc, out, err = run_cli(["solve-beta", "--left", "D(1,1,0)", "--right", "D(1,1,0)"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith(f"internal fault ({type(exc).__name__}):")
 
 
 def test_proca_and_contraction(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from galilei.matrix import (
     Matrix,
     SubspaceBasis,
+    _RowAbsorber,
     canonical_span,
     det,
     linear_kernel,
@@ -318,3 +319,114 @@ def test_linear_kernel_real_equals_complex(label):
 
         assert len(reps.endomorphisms(A, B, C, N, M)) == \
             N * N + M * M - probed_rank(endo, [(N, N), (M, M)])
+
+
+# -- sparse absorption and echelon membership ------------------------------------
+
+ABSORB_SEED = 5050
+
+
+def _random_rows(rng, n_rows, width):
+    """Sparse Gaussian-rational rows with zero, dependent and purely
+    imaginary rows mixed in."""
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([ZERO] * width)
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            f = GRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+            rows.append([x + f * y for x, y in zip(a, b)])
+        else:
+            imaginary = kind > 0.85
+            row = [ZERO] * width
+            for k in rng.sample(range(width), rng.randint(1, min(3, width))):
+                q = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4))
+                row[k] = GRat(0, q) if imaginary else GRat(q, rng.choice([0, 0, 1, -2]))
+            rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_row_absorber_matches_dense_rref(case):
+    rng = random.Random(ABSORB_SEED + case)
+    width = rng.randint(1, 9)
+    rows = _random_rows(rng, rng.randint(1, 14), width)
+    absorber = _RowAbsorber(width)
+    kept = [absorber.add({k: x for k, x in enumerate(r) if x}) for r in rows]
+    dense = Matrix(rows)
+    assert sum(kept) == len(absorber.rows) == rank(dense)
+    held = absorber.matrix()
+    assert held.shape == (len(absorber.rows), width)
+    assert canonical_span(held.entries, width) == canonical_span(rows, width)
+    assert nullspace(held) == nullspace(dense)
+    for c, r in absorber.rows.items():
+        assert r[c] == ONE and min(r) == c and all(r.values())
+
+
+def test_row_absorber_rejects_zero_and_repeats():
+    absorber = _RowAbsorber(3)
+    assert not absorber.add({})
+    assert absorber.add({1: I, 2: GRat(2)})
+    assert not absorber.add({1: GRat(3), 2: GRat(0, -6)})
+    assert absorber.matrix() == Matrix([[ZERO, ONE, GRat(0, -2)]])
+    assert _RowAbsorber(4).matrix().shape == (0, 4)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_contains_matches_rank_test(case):
+    rng = random.Random(ABSORB_SEED + 100 + case)
+    width = rng.randint(1, 7)
+    rows = _random_rows(rng, rng.randint(1, 5), width)
+    space = SubspaceBasis(width, rows)
+    probes = []
+    for _ in range(4):
+        coeffs = [GRat(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in rows]
+        probes.append([sum((f * r[k] for f, r in zip(coeffs, rows)), ZERO)
+                       for k in range(width)])
+    probes += _random_rows(rng, 6, width)
+    inside = 0
+    for v in probes:
+        expected = canonical_span(rows + [v], width).rows == space.dimension
+        assert space.contains(v) == expected
+        inside += expected
+    assert inside >= 4
+    with pytest.raises(ValueError):
+        space.contains([ZERO] * (width + 1))
+
+
+# -- differential oracle: sympy --------------------------------------------------
+
+ORACLE_SEED = 5052
+
+
+def _to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.re.numerator, x.re.denominator)
+                                         + sympy.I * sympy.Rational(x.im.numerator,
+                                                                    x.im.denominator)
+                                         for row in m.entries for x in row])
+
+
+def _from_sympy(sympy, x):
+    re, im = sympy.re(x), sympy.im(x)
+    return GRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+@pytest.mark.parametrize("case", range(15))
+def test_rank_nullspace_det_against_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(ORACLE_SEED + case)
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    m = Matrix(_random_rows(rng, nr, nc))
+    sm = _to_sympy(sympy, m)
+    assert rank(m) == sm.rank()
+    ours = nullspace(m)
+    theirs = [tuple(_from_sympy(sympy, sympy.expand(x)) for x in v)
+              for v in sm.nullspace()]
+    assert len(ours) == len(theirs)
+    assert canonical_span(ours, nc) == canonical_span(theirs, nc)
+    assert all((m @ Matrix([[x] for x in v])).is_zero() for v in ours)
+    sq = Matrix(_random_rows(rng, nr, nr))
+    assert det(sq) == _from_sympy(sympy, sympy.expand(_to_sympy(sympy, sq).det()))

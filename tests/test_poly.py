@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galilei.poly import PolyRing, Poly
-from galilei.scalars import GRat
+from galilei.scalars import GRat, ZERO
 
 
 RING = PolyRing(("x", "y", "m"), invertible=("m",))
@@ -64,3 +65,28 @@ def test_conjugate_keeps_symbols_real():
     x = RING.sym("x")
     p = x * GRat(0, 1)
     assert p.conjugate() == x * GRat(0, -1)
+
+
+SCALARS = [GRat(3), GRat(Fraction(-2, 7)), GRat(0, 1), GRat(Fraction(1, 2), Fraction(-5, 3))]
+
+
+FAST_PATH_SEED = 5051
+
+
+def _random_poly(rng):
+    return sum((_mono((rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                for _ in range(rng.randint(0, 4))), RING.zero)
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_scalar_fast_paths(case):
+    p = _random_poly(random.Random(FAST_PATH_SEED + case))
+    for g in SCALARS:
+        assert p * g == p * RING.const(g) == g * p
+        assert (p * g).terms == (p * RING.const(g)).terms
+    assert p * ZERO == RING.zero and not (ZERO * p).terms
+    assert p + ZERO is p and ZERO + p is p and p - ZERO is p
+    assert ZERO - p == -p
+    assert RING.zero + p is p and p + RING.zero is p
+    assert p - p == RING.zero
