@@ -128,12 +128,6 @@ def levy_leblond(kappa=ZERO, omega=ZERO, ring=None) -> BetaSystem:
                       params=tuple(p for p in ("kappa", "omega") if ring))
 
 
-def ll_hermitizer() -> Matrix:
-    """The block-swap matrix eta = [[0, I], [I, 0]]."""
-    z2, i2 = Matrix.zeros(2, 2), Matrix.identity(2)
-    return Matrix.block([[z2, i2], [i2, z2]])
-
-
 def ll_lambda_generator() -> Matrix:
     """Second generator of the Lambda space: [[0, -i I], [i I, 0]].
 
@@ -220,11 +214,6 @@ def dkp_spin0_algebra_set():
                 b = b + _e6(6, r + 1) * g[m, r]
         out.append(b)
     return out
-
-
-def dkp_spin0_matrices():
-    """Alias for the canonical algebra set (the verified realisation)."""
-    return dkp_spin0_algebra_set()
 
 
 @dataclass
@@ -575,20 +564,30 @@ def dkp_contraction() -> dict:
 
 
 def canonical(name: str, **params):
+    """The named canonical system, operator or matrix set.
+
+    Only levy_leblond (kappa, omega) and D311 (nu) take parameters; any
+    other parameter is a usage error.
+    """
     builders = {
-        "levy_leblond": lambda: levy_leblond(**params),
-        "D110": system_D110,
-        "D210": system_D210,
-        "D221": system_D221,
-        "D311": lambda: system_D311(**params),
-        "dkp_spin0": dkp_spin0_system,
-        "gamma_hat": gamma_hat,
-        "proca": proca_operator,
-        "rarita_schwinger": rarita_schwinger_operator,
+        "levy_leblond": (levy_leblond, ("kappa", "omega")),
+        "D110": (system_D110, ()),
+        "D210": (system_D210, ()),
+        "D221": (system_D221, ()),
+        "D311": (system_D311, ("nu",)),
+        "dkp_spin0": (dkp_spin0_system, ()),
+        "gamma_hat": (gamma_hat, ()),
+        "proca": (proca_operator, ()),
+        "rarita_schwinger": (rarita_schwinger_operator, ()),
     }
     if name not in builders:
         raise UsageError(f"unknown canonical system {name!r}")
-    return builders[name]()
+    build, takes = builders[name]
+    extra = sorted(set(params) - set(takes))
+    if extra:
+        raise UsageError(f"{name!r} does not take {', '.join(extra)} "
+                         f"(takes: {', '.join(takes) or 'no parameters'})")
+    return build(**params)
 
 
 CATALOG_SYSTEMS = ("levy_leblond", "D110", "D210", "D221", "D311", "dkp_spin0")

@@ -16,14 +16,14 @@ D(1,1,1) has B = 0, C = 1.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, I, UsageError
-from .matrix import (Matrix, rank, nullspace, nilpotency_index, rref, canonical_span,
-                     linear_kernel)
+from .matrix import Matrix, rank, nullspace, nilpotency_index, linear_kernel
 from .poly import PolyRing
 
 EPS = {
@@ -267,19 +267,43 @@ def rep_nilpotency_index(rep: Representation) -> int:
 TABLE1_PAIRS = sorted({(n, m) for (n, m, _) in TABLE1})
 
 
+def _mul(x, y):
+    """Product of two matrices held as tuples of row tuples (int or GRat entries).
+
+    The inner dimension must be nonzero: a product through an empty
+    dimension has no rows to recover its width from.
+    """
+    cols = list(zip(*y))
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in x])
+
+
+def _is_zero(x) -> bool:
+    return not any(map(any, x))
+
+
+def _abc_equations(A, m):
+    """The consistency equations of a triple with this A, as three tests.
+
+    Returns (on_b, on_c, on_pair): AB = 0, CA = 0 and A^2 + BC = 0
+    (A^2 = 0 when m = 0), on matrices held as row tuples.  The split lets
+    an enumeration test B and C apart before it pairs them.
+    """
+    a2 = _mul(A, A)
+    if not m:
+        return (lambda B: True), (lambda C: True), (lambda B, C: _is_zero(a2))
+    minus_a2 = tuple(tuple(-x for x in row) for row in a2)
+    return ((lambda B: _is_zero(_mul(A, B))),
+            (lambda C: _is_zero(_mul(C, A))),
+            (lambda B, C: _mul(B, C) == minus_a2))
+
+
 def _abc_ok(A, B, C, n, m):
-    if n:
-        if m:
-            if not (A @ B).is_zero():
-                return False
-            if not (C @ A).is_zero():
-                return False
-            if not (A @ A + B @ C).is_zero():
-                return False
-        else:
-            if not (A @ A).is_zero():
-                return False
-    return True
+    """Whether the Matrix triple satisfies the consistency equations."""
+    if not n:
+        return True
+    on_b, on_c, on_pair = _abc_equations(tuple(map(tuple, A.entries)), m)
+    B, C = tuple(map(tuple, B.entries)), tuple(map(tuple, C.entries))
+    return on_b(B) and on_c(C) and on_pair(B, C)
 
 
 def endomorphisms(A, B, C, n, m):
@@ -352,56 +376,123 @@ def table1_signatures():
     return sigs
 
 
-def classify_bruteforce(pairs=None, entries=(-1, 0, 1), max_cells=200_000_000):
-    """Enumerate (A,B,C) solutions of the consistency equations over a
-    fixed entry set, keep the indecomposable ones, and group them by
+def _signed_permutations(n):
+    """Every n x n signed permutation X as (q, t): X has t[i] at (i, q[i])."""
+    return [(q, t) for q in itertools.permutations(range(n))
+            for t in itertools.product((1, -1), repeat=n)]
+
+
+def _permute(M, X, Y):
+    """X M Y^-1 for signed permutations X = (q, t), Y = (r, u), on row tuples.
+
+    Y^-1 is the transpose of Y, so entry (i, j) is t[i] u[j] M[q[i]][r[j]].
+    """
+    (q, t), (r, u) = X, Y
+    return tuple(tuple(t[i] * u[j] * M[q[i]][r[j]] for j in range(len(r)))
+                 for i in range(len(q)))
+
+
+def _conjugates(B, C, xs, ys):
+    """The (X B Y^-1, Y C X^-1) for X in xs and Y in ys.
+
+    With A, they are the conjugates (X A X^-1, X B Y^-1, Y C X^-1) of the
+    triple (A, B, C); when every X in xs fixes A, A is unchanged.
+    """
+    return {(_permute(B, X, Y), _permute(C, Y, X)) for X in xs for Y in ys}
+
+
+def _int_matrices(rows, cols):
+    """Every rows x cols matrix over {-1, 0, 1}, as row tuples."""
+    return [tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+            for flat in itertools.product((-1, 0, 1), repeat=rows * cols)]
+
+
+def _as_matrix(x, cols):
+    return Matrix([[GRat(v) for v in row] for row in x], cols=cols)
+
+
+Funnel = namedtuple("Funnel", "enumerated nilpotent classes consistent tested")
+Funnel.__doc__ = """How far the candidates of one (n, m) pair got: A enumerated, A
+with A^3 = 0, A left after skipping signed-permutation conjugates,
+consistent triples on those A, and indecomposability tests run."""
+
+
+def _classify_pair(n, m):
+    """The signatures of the indecomposable triples over {-1, 0, 1} for one
+    (n, m) pair, and the pair's Funnel.
+
+    Three prunes, each sound because a signed permutation maps {-1, 0, 1}
+    to itself and conjugation gives an isomorphic module, whose signature
+    and indecomposability are the same:
+    - AB = 0 and A^2 + BC = 0 give A^3 = -ABC = 0, so any other A is dropped
+      before its B and C are built;
+    - an A conjugate to an A already processed is skipped, since
+      (XAX^-1, B, C) is the conjugate of (A, X^-1 B, C X);
+    - a triple in the orbit of a triple already tested is skipped.
+    Decomposability is never cached by signature: signatures are not known
+    to separate isomorphism classes.
+    """
+    if n == 0:
+        # no matrices at all; the scalar module is indecomposable iff m == 1
+        return ({(0, 1, 0, 0, 0, 0, 0, 0)} if m == 1 else set()), Funnel(0, 0, 0, 0, 0)
+    xs, ys = _signed_permutations(n), _signed_permutations(m)
+    all_b, all_c = _int_matrices(n, m), _int_matrices(m, n)
+    found, seen_a = set(), set()
+    enumerated = nilpotent = classes = consistent = tested = 0
+    for A in _int_matrices(n, n):
+        enumerated += 1
+        # a nilpotent A has trace 0, a cheaper test to run first
+        if sum(A[i][i] for i in range(n)) or not _is_zero(_mul(_mul(A, A), A)):
+            continue
+        nilpotent += 1
+        if A in seen_a:
+            continue
+        classes += 1
+        # X A X^-1 = A for X in the stabiliser, so it maps triples on A to triples on A
+        stabiliser = []
+        for X in xs:
+            XA = _permute(A, X, X)
+            seen_a.add(XA)
+            if XA == A:
+                stabiliser.append(X)
+        seen = set()
+        on_b, on_c, on_pair = _abc_equations(A, m)
+        cs = [C for C in all_c if on_c(C)]
+        for B in filter(on_b, all_b):
+            for C in cs:
+                if not on_pair(B, C):
+                    continue
+                consistent += 1
+                if (B, C) in seen:
+                    continue
+                lifted = _as_matrix(A, n), _as_matrix(B, m), _as_matrix(C, n)
+                sig = _signature(*lifted, n, m)
+                # a repeat signature cannot change the result set
+                if sig in found:
+                    continue
+                tested += 1
+                seen |= _conjugates(B, C, stabiliser, ys)
+                if _is_indecomposable(*lifted, n, m):
+                    found.add(sig)
+    return found, Funnel(enumerated, nilpotent, classes, consistent, tested)
+
+
+def classify_bruteforce(pairs=None, max_cells=200_000_000):
+    """Enumerate (A,B,C) solutions of the consistency equations with
+    entries in {-1, 0, 1}, keep the indecomposable ones, and group them by
     invariant signature.
 
     Returns the sorted list of signatures found.
     """
     if pairs is None:
         pairs = TABLE1_PAIRS
-    entry_vals = [GRat(e) for e in entries]
     found = set()
     for (n, m) in pairs:
-        cells = len(entries) ** (n * n + 2 * n * m)
+        cells = 3 ** (n * n + 2 * n * m)
         if cells > max_cells:
             raise ValueError(
                 f"enumeration for (n,m)=({n},{m}) needs {cells} cells "
                 f"(limit {max_cells})"
             )
-        if n == 0:
-            # no matrices at all; the scalar module is indecomposable iff m == 1
-            if m == 1:
-                found.add((0, 1, 0, 0, 0, 0, 0, 0))
-            continue
-        for a_flat in itertools.product(entry_vals, repeat=n * n):
-            A = Matrix([list(a_flat[i * n:(i + 1) * n]) for i in range(n)])
-            A2 = A @ A
-            if m == 0:
-                if not A2.is_zero():
-                    continue
-                sig = _signature(A, None, None, n, 0)
-                # a repeat signature cannot change the result set
-                if sig not in found and _is_indecomposable(
-                        A, Matrix.zeros(n, 0), Matrix.zeros(0, n), n, 0):
-                    found.add(sig)
-                continue
-            b_cands = []
-            for b_flat in itertools.product(entry_vals, repeat=n * m):
-                B = Matrix([list(b_flat[i * m:(i + 1) * m]) for i in range(n)])
-                if (A @ B).is_zero():
-                    b_cands.append(B)
-            c_cands = []
-            for c_flat in itertools.product(entry_vals, repeat=m * n):
-                C = Matrix([list(c_flat[i * n:(i + 1) * n]) for i in range(m)])
-                if (C @ A).is_zero():
-                    c_cands.append(C)
-            for B in b_cands:
-                for C in c_cands:
-                    if not (A2 + B @ C).is_zero():
-                        continue
-                    sig = _signature(A, B, C, n, m)
-                    if sig not in found and _is_indecomposable(A, B, C, n, m):
-                        found.add(sig)
+        found |= _classify_pair(n, m)[0]
     return sorted(found)

@@ -303,11 +303,6 @@ class WeylElement:
 # -- matrices over the Weyl algebra -------------------------------------------
 
 
-def weyl_matrix(alg: WeylAlgebra, mat: Matrix) -> Matrix:
-    """Lift a GRat matrix to a Weyl-element matrix."""
-    return mat.map(lambda x: alg.const(x))
-
-
 def matrix_dagger(m: Matrix) -> Matrix:
     return m.T.map(lambda w: w.conjugate())
 

@@ -121,6 +121,9 @@ def test_unknown_verb_usage(capsys):
     (["catalog", "--name", "nonesuch"], "unknown canonical system"),
     (["classify", "--pairs", "1;x"], "bad --pairs"),
     (["spin", "--system", "nonesuch"], "unknown system"),
+    (["catalog", "--name", "levy_leblond", "--params", "foo=1"], "does not take foo"),
+    (["catalog", "--name", "proca", "--params", "x=1"], "does not take x"),
+    (["catalog", "--name", "D311", "--params", "ring=2"], "does not take ring"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)
@@ -162,3 +165,30 @@ def test_catalog_matrix_json(capsys):
     first = payload["matrices"][0]
     assert first["rows"] == 4 and first["cols"] == 4
     assert first["entries"][2][0] == "1"
+
+
+def test_catalog_params_reach_the_builder(capsys):
+    rc, out, _ = run_cli(["catalog", "--name", "levy_leblond", "--params", "kappa=3", "omega=5"],
+                         capsys)
+    assert rc == 0
+    beta4 = json.loads(out)["beta4"]["entries"]
+    assert (beta4[0][0], beta4[0][2], beta4[2][0]) == ("3", "-5*i", "5*i")
+    rc, out, _ = run_cli(["catalog", "--name", "D311", "--params", "nu=2"], capsys)
+    assert rc == 0
+    beta4 = json.loads(out)["beta4"]["entries"]
+    assert (beta4[0][6], beta4[9][9]) == ("2", "-2")
+
+
+# sha256 of `galilei classify` stdout, fixed before the search was pruned
+CLASSIFY_GOLDEN = {
+    (): "866bbc9ac0e6888000e712870f4e6573cf929dc1bc0114e3fad42d4b5263dd08",
+    ("--pairs", "2,2;1,1"): "5e66836de118c50bb648c2ba4b52b2e82e244705b826ecf44f49e97252321f9b",
+    ("--pairs", "3,1"): "3353f3555cf755c2102b1d7e611dfd2ad36ee0be87f8956740c02439e1164148",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(CLASSIFY_GOLDEN))
+def test_classify_golden(capsys, extra):
+    rc, out, _ = run_cli(["classify", *extra], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN[extra]

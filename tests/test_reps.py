@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from galilei.matrix import Matrix
@@ -125,3 +128,139 @@ def test_table1_kept_by_endo_filter():
     # a decomposable negative control: the zero triple at (1,1)
     z = Matrix.zeros(1, 1)
     assert not reps._is_indecomposable(z, z, z, 1, 1)
+
+
+# -- the pruned rediscovery search ------------------------------------------------
+
+def _naive_signatures(n, m):
+    """Every triple over {-1, 0, 1}: `_abc_ok`, then `_is_indecomposable`, no pruning."""
+    def mats(rows, cols):
+        for flat in itertools.product((-1, 0, 1), repeat=rows * cols):
+            if rows == 0:
+                yield Matrix.zeros(0, cols)
+            else:
+                yield Matrix.from_rational_rows(
+                    [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
+    found = set()
+    for A in mats(n, n):
+        for B in mats(n, m):
+            for C in mats(m, n):
+                if reps._abc_ok(A, B, C, n, m) and reps._is_indecomposable(A, B, C, n, m):
+                    found.add(reps._signature(A, B, C, n, m))
+    return found
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)])
+def test_pruned_search_matches_naive_reference(pair):
+    assert reps.classify_bruteforce(pairs=[pair]) == sorted(_naive_signatures(*pair))
+
+
+def _rows(x):
+    return tuple(map(tuple, x.entries))
+
+
+def _table1_triples():
+    for (n, m, lam), (A, B, C) in reps.TABLE1.items():
+        if A is None:
+            continue
+        if B is None:
+            m, B, C = 0, Matrix.zeros(n, 0), Matrix.zeros(0, n)
+        yield (n, m, lam), A, B, C
+
+
+def _assert_same_module_invariants(key, A, B, C, conjugates):
+    n, m, _ = key
+    sig = reps._signature(A, B, C, n, m)
+    for A2, B2, C2 in conjugates:
+        A2, B2, C2 = Matrix(A2, cols=n), Matrix(B2, cols=m), Matrix(C2, cols=n)
+        assert reps._abc_ok(A2, B2, C2, n, m), (key, A2, B2, C2)
+        assert reps._signature(A2, B2, C2, n, m) == sig, (key, A2, B2, C2)
+        assert reps._is_indecomposable(A2, B2, C2, n, m), (key, A2, B2, C2)
+
+
+def test_signed_permutation_conjugates_keep_the_invariants():
+    rng = random.Random(6061)  # the seed of the sampled signed permutations
+    checked = 0
+    for key, A, B, C in _table1_triples():
+        n, m, _ = key
+        xs, ys = reps._signed_permutations(n), reps._signed_permutations(m)
+        sample = [(rng.choice(xs), rng.choice(ys)) for _ in range(12)]
+        conjugates = [(reps._permute(_rows(A), X, X), *bc) for X, Y in sample
+                      for bc in reps._conjugates(_rows(B), _rows(C), [X], [Y])]
+        _assert_same_module_invariants(key, A, B, C, conjugates)
+        checked += len(conjugates)
+    assert checked == 12 * 9
+
+
+def test_stabiliser_orbit_keeps_the_invariants():
+    # the orbit the search skips: X A X^-1 = A, every Y
+    for key, A, B, C in _table1_triples():
+        n, m, _ = key
+        stabiliser = [X for X in reps._signed_permutations(n)
+                      if reps._permute(_rows(A), X, X) == _rows(A)]
+        orbit = reps._conjugates(_rows(B), _rows(C), stabiliser, reps._signed_permutations(m))
+        assert (_rows(B), _rows(C)) in orbit
+        _assert_same_module_invariants(key, A, B, C, [(_rows(A), *bc) for bc in orbit])
+
+
+def _signed_permutation_matrix(X):
+    q, t = X
+    k = len(q)
+    return Matrix.from_rational_rows(
+        [[t[i] if j == q[i] else 0 for j in range(k)] for i in range(k)])
+
+
+def test_permute_is_conjugation_by_signed_permutation_matrices():
+    # X M Y^-1 with X, Y as explicit matrices; Y^-1 = Y^T
+    rng = random.Random(6062)
+    for n, m in ((2, 1), (3, 2)):
+        M = tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n))
+        for X in reps._signed_permutations(n)[::5]:
+            for Y in reps._signed_permutations(m):
+                want = (_signed_permutation_matrix(X) @ Matrix.from_rational_rows(M)
+                        @ _signed_permutation_matrix(Y).T)
+                assert Matrix.from_rational_rows(reps._permute(M, X, Y)) == want
+
+
+# per pair: A enumerated, A with A^3 = 0, A left after skipping conjugates,
+# consistent triples on those A, indecomposability tests run
+FUNNELS = {
+    (0, 1): (0, 0, 0, 0, 0),
+    (1, 0): (3, 1, 1, 1, 1),
+    (1, 1): (3, 1, 1, 5, 3),
+    (1, 2): (3, 1, 1, 33, 6),
+    (2, 0): (81, 9, 3, 3, 2),
+    (2, 1): (81, 9, 3, 27, 9),
+    (2, 2): (81, 9, 3, 483, 38),
+    (3, 1): (19683, 481, 23, 179, 52),
+}
+
+
+def test_classify_funnel_per_pair():
+    for pair, funnel in FUNNELS.items():
+        sigs, got = reps._classify_pair(*pair)
+        assert tuple(got) == funnel, pair
+        assert sigs == {s for s in reps.table1_signatures() if s[:2] == pair}, pair
+
+
+def test_nilpotent_count_2x2_by_matrix_powers():
+    # the A^3 = 0 prune keeps 9 of the 81 2x2 matrices over {-1, 0, 1}
+    kept = 0
+    for flat in itertools.product((-1, 0, 1), repeat=4):
+        A = Matrix.from_rational_rows([flat[:2], flat[2:]])
+        kept += (A @ A @ A).is_zero()
+    assert kept == FUNNELS[(2, 2)][1] == 9
+
+
+def test_classify_bruteforce_loops_over_classify_pair(monkeypatch):
+    seen = []
+    original = reps._classify_pair
+
+    def spy(n, m):
+        seen.append((n, m))
+        return original(n, m)
+
+    monkeypatch.setattr(reps, "_classify_pair", spy)
+    reps.classify_bruteforce(pairs=[(1, 1), (2, 0)])
+    assert seen == [(1, 1), (2, 0)]
