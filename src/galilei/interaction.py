@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, ONE, I, UsageError
-from .matrix import Matrix
+from .matrix import Matrix, NotNilpotentError, nilpotent_exp
 from .poly import PolyRing, Poly
-from .weyl import WeylAlgebra, WeylElement, FieldConfig, matrix_exp_nilpotent, matrix_dagger
+from .weyl import WeylAlgebra, WeylElement, FieldConfig, matrix_dagger
 from .reps import Representation, spin1_matrix, eps
 from .beta import _lift
 
@@ -51,6 +51,8 @@ def _wlift(mat: Matrix, alg: WeylAlgebra) -> Matrix:
     def one(x):
         if isinstance(x, WeylElement):
             return x
+        if not x:
+            return alg.zero
         if isinstance(x, Poly):
             return alg.const(x.map_to(alg.params))
         return alg.const(x)
@@ -120,19 +122,19 @@ def conjugate_reduce(co: CoupledOperator, scale=None) -> Matrix:
         etapi = etapi + _wlift(co.rep.eta[a], alg) * pis[a]
         etapih = etapih + _wlift(co.rep.eta[a].H, alg) * pis[a]
     iu = GRat(0, 1)
-    right = matrix_exp_nilpotent(etapi.map(lambda w: w * (iu * 1) * t))
-    left = matrix_exp_nilpotent(etapih.map(lambda w: w * (iu * -1) * t))
+    right = nilpotent_exp(etapi.map(lambda w: w * (iu * 1) * t))
+    left = nilpotent_exp(etapih.map(lambda w: w * (iu * -1) * t))
     return left @ co.matrix @ right
 
 
 def conjugate_by_nilpotent(op: Matrix, exponent: Matrix, dagger_pair=True) -> Matrix:
     """W1 op W2 with W2 = exp(exponent); W1 = exp(-exponent^H) when
     dagger_pair (the invariance-preserving sandwich), else exp(-exponent)."""
-    right = matrix_exp_nilpotent(exponent)
+    right = nilpotent_exp(exponent)
     if dagger_pair:
-        left = matrix_exp_nilpotent(matrix_dagger(exponent).map(lambda w: w * (-1)))
+        left = nilpotent_exp(matrix_dagger(exponent).map(lambda w: w * (-1)))
     else:
-        left = matrix_exp_nilpotent(exponent.map(lambda w: w * (-1)))
+        left = nilpotent_exp(exponent.map(lambda w: w * (-1)))
     return left @ op @ right
 
 
@@ -192,7 +194,8 @@ def eliminate_auxiliaries(op: Matrix, phys, alg: WeylAlgebra) -> dict:
                 c = rows[r][col]
                 if not c:
                     continue
-                rows[r] = [rows[r][j] - c * pivot_row[j] for j in range(n)]
+                # entries under a zero of the pivot row stay as they are
+                rows[r] = [x - c * y if y else x for x, y in zip(rows[r], pivot_row)]
             progress = True
     if aux:
         raise ValueError(f"could not eliminate components {aux}: no constant pivots")
@@ -426,16 +429,23 @@ def second_conjugation(report: ReductionReport, co: CoupledOperator, kappa,
     minv = alg.sym("m", -1)
     iu = GRat(0, 1)
     expo = spi.map(lambda w: w * (iu * 1) * (minv * kappa))
-    if _is_nilpotent_exp(expo):
-        U = matrix_exp_nilpotent(expo)
-        Uinv = matrix_exp_nilpotent(expo.map(lambda w: w * (-1)))
-    else:
+    try:
+        U = nilpotent_exp(expo)
+    except NotNilpotentError:
+        if not truncation:
+            raise ValueError("a truncation is required for non-nilpotent exponents") from None
         # the exponential series must be carried deep enough that its
         # boundary junk lands outside the final window even after being
         # multiplied by positive powers carried by the operand
         build = _extend_window(truncation, report.operator)
-        U = _exp_truncated(expo, build)
-        Uinv = _exp_truncated(expo.map(lambda w: w * (-1)), build)
+
+        def cut(w):
+            return w.truncate(build)
+
+        U = nilpotent_exp(expo, cut=cut)
+        Uinv = nilpotent_exp(expo.map(lambda w: w * (-1)), cut=cut)
+    else:
+        Uinv = nilpotent_exp(expo.map(lambda w: w * (-1)))
     block = U @ report.operator @ Uinv
     if truncation:
         block = block.map(lambda w: w.truncate(truncation))
@@ -481,34 +491,6 @@ def _extend_window(truncation, operand: Matrix):
                     dmin = min(dmin, c.min_degree_in(name))
         out.append((name, lo - max(dmax, 0), hi - min(dmin, 0)))
     return out
-
-
-def _is_nilpotent_exp(expo: Matrix) -> bool:
-    """The sigma.pi exponents are not nilpotent; spin-1 s.pi neither."""
-    p = expo
-    for _ in range(expo.rows + 1):
-        p = p @ expo
-        if p.is_zero():
-            return True
-    return False
-
-
-def _exp_truncated(expo: Matrix, truncation) -> Matrix:
-    """exp of a matrix whose entries vanish under the truncation ideal at
-    some finite order (the exponent carries a small-parameter factor)."""
-    if not truncation:
-        raise ValueError("a truncation is required for non-nilpotent exponents")
-    alg = expo.entries[0][0].algebra
-    out = Matrix.identity(expo.rows, alg.one, alg.zero)
-    term = out
-    fact = 1
-    for k in range(1, 40):
-        term = (term @ expo).map(lambda w: w.truncate(truncation))
-        if term.is_zero():
-            return out
-        fact *= k
-        out = out + term.map(lambda w: w * GRat(Fraction(1, fact)))
-    raise ValueError("truncated exponential did not terminate; widen the caps")
 
 
 def hamiltonian_named(report: ReductionReport) -> dict:

@@ -466,28 +466,45 @@ def nilpotency_index(m: Matrix, max_power=None):
     return None
 
 
-def nilpotent_exp(n: Matrix, t=None) -> Matrix:
-    """exp(t*n) as an exact finite sum; rejects non-nilpotent n.
+class NotNilpotentError(ValueError):
+    """An exponential series that had to terminate did not."""
 
-    The diagnostic names the smallest power that fails to vanish up to dim.
+
+# powers tried by a cut series before it gives up
+_CUT_ORDER = 39
+
+
+def nilpotent_exp(n: Matrix, t=None, cut=None) -> Matrix:
+    """exp(t*n) as the exact finite sum of (t*n)^k / k!.
+
+    The series stops at the first zero power.  Without ``cut``, n must be
+    nilpotent: over a field, or over a domain such as the Weyl algebra
+    (which embeds in a skew field), a nilpotent d x d matrix has n^d = 0,
+    so a nonzero power d + 1 shows n is not nilpotent.  ``cut`` is a map
+    applied to every entry of each power, such as a truncation to a window
+    of small parameters; the series then stops at the first power the cut
+    sends to zero.  Raises NotNilpotentError when the powers do not vanish.
     """
-    idx = nilpotency_index(n)
-    if idx is None:
-        raise ValueError(
-            f"matrix is not nilpotent: power {n.rows + 1} still nonzero "
-            f"(checked up to dimension {n.rows})"
-        )
     one = _one_like(n.entries[0][0]) if n.rows else ONE
     zero = _zero_like(n.entries[0][0]) if n.rows else ZERO
     tn = n if t is None else n.map(lambda x: x * t)
     out = Matrix.identity(n.rows, one, zero)
-    term = Matrix.identity(n.rows, one, zero)
+    power = out
     fact = 1
-    for k in range(1, idx):
-        term = term @ tn
+    for k in range(1, (n.rows + 1 if cut is None else _CUT_ORDER) + 1):
+        power = power @ tn
+        if cut is not None:
+            power = power.map(cut)
+        if power.is_zero():
+            return out
         fact *= k
-        out = out + term.map(lambda x: x * GRat(Fraction(1, fact)))
-    return out
+        out = out + power.map(lambda x: x * GRat(Fraction(1, fact)))
+    if cut is None:
+        raise NotNilpotentError(
+            f"matrix is not nilpotent: power {n.rows + 1} still nonzero "
+            f"(checked up to dimension {n.rows})"
+        )
+    raise NotNilpotentError("truncated exponential did not terminate; widen the caps")
 
 
 def evaluate_matrix(m: Matrix, assignment: dict) -> Matrix:

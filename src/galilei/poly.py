@@ -4,13 +4,41 @@ A ring declares an ordered tuple of symbol names.  Symbols may be declared
 invertible (e.g. the mass ``m``), in which case their exponents are allowed
 to run negative; the rewrite m*m^-1 -> 1 is then just integer exponent
 addition, which is trivially confluent.
+
+Products skip work whose result is known in advance.  A ring is a
+Laurent polynomial ring over a field, hence an integral domain: the
+product of nonzero elements is nonzero, and multiplying by a single term
+c*x^e sends distinct exponents to distinct exponents (e is added to each)
+with nonzero coefficients.  So a single-term factor scales and shifts the
+other factor's terms with nothing to collect or cancel.  Ring checks test
+identity first and fall back to comparing names and invertible symbols,
+so equal rings built separately still mix and different rings still raise
+``ValueError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import GRat, ZERO, ONE, as_grat
+
+
+def _merge_terms(t1: dict, t2: dict, negate: bool = False) -> dict:
+    """The term dict t1 + t2 (t1 - t2 when negate), dropping the zeros the
+    sum makes; both dicts hold nonzero coefficients only."""
+    terms = dict(t1)
+    for e, c in t2.items():
+        s = terms.get(e)
+        if s is None:
+            terms[e] = -c if negate else c
+            continue
+        s = s - c if negate else s + c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    return terms
 
 
 class PolyRing:
@@ -46,7 +74,7 @@ class PolyRing:
         return tuple(self.sym(n) for n in names)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.invertible == other.invertible
@@ -72,7 +100,7 @@ class Poly:
 
     def _lift(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
         return self.ring.const(other)
@@ -85,14 +113,7 @@ class Poly:
         other = self._lift(other)
         if not self.terms:
             return other
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return Poly(self.ring, _merge_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -100,7 +121,12 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if not other:
+            return self
+        other = self._lift(other)
+        if not self.terms:
+            return -other
+        return Poly(self.ring, _merge_terms(self.terms, other.terms, negate=True))
 
     def __rsub__(self, other):
         return -self + other
@@ -112,13 +138,23 @@ class Poly:
                 return self.ring.zero
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
         other = self._lift(other)
-        if not self.terms or not other.terms:
+        t1, t2 = self.terms, other.terms
+        if not t1 or not t2:
             return self.ring.zero
+        # a single-term factor shifts and scales the other's terms (module doc)
+        if len(t2) == 1:
+            ((e2, c2),) = t2.items()
+            return Poly(self.ring, {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in t1.items()})
+        if len(t1) == 1:
+            ((e1, c1),) = t1.items()
+            return Poly(self.ring, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in t2.items()})
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                s = terms.get(e)
+                s = c if s is None else s + c
                 if s:
                     terms[e] = s
                 else:

@@ -482,17 +482,24 @@ def classify_bruteforce(pairs=None, max_cells=200_000_000):
     entries in {-1, 0, 1}, keep the indecomposable ones, and group them by
     invariant signature.
 
-    Returns the sorted list of signatures found.
+    Returns the sorted list of signatures found.  Every pair is checked
+    before any is enumerated: each must be two sizes n, m >= 0 within
+    ``max_cells``, else UsageError.
     """
     if pairs is None:
         pairs = TABLE1_PAIRS
-    found = set()
-    for (n, m) in pairs:
+    pairs = [tuple(p) for p in pairs]
+    for p in pairs:
+        if len(p) != 2 or min(p) < 0:
+            raise UsageError(f"(n,m) pair {p} is not two sizes n, m >= 0")
+        n, m = p
         cells = 3 ** (n * n + 2 * n * m)
         if cells > max_cells:
-            raise ValueError(
+            raise UsageError(
                 f"enumeration for (n,m)=({n},{m}) needs {cells} cells "
                 f"(limit {max_cells})"
             )
+    found = set()
+    for (n, m) in pairs:
         found |= _classify_pair(n, m)[0]
     return sorted(found)

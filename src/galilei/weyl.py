@@ -12,15 +12,32 @@ product into canonical form uses the closed two-factor formula
     p^n x^m = sum_j C(n,j) C(m,j) j! (-i)^j x^(m-j) p^(n-j)
 
 per axis, so normal_order(u*v) is exact in one pass.
+
+Most products need no reordering, and ``WeylElement.__mul__`` skips the
+formula where its result is known in advance:
+
+- a central operand (a scalar, a ``Poly`` of parameters, or a single term
+  with the all-zero key) commutes with everything, so the product scales
+  the other operand's coefficients, keys unchanged;
+- a pair of monomials where no momentum factor of the left one meets its
+  own position factor in the right one (p_a against x_a, p0 against t)
+  commutes, so its key is the sum of the two keys.
+
+The central path has nothing to collect: the keys stay distinct, and the
+parameter ring is an integral domain (see ``poly``), so nonzero
+coefficients multiply to nonzero ones.  Commuting pairs are still
+collected with the reordered ones, since different pairs can share a key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
+from operator import add
 
-from .scalars import GRat, ZERO, ONE, I, as_grat
-from .poly import PolyRing, Poly
+from .scalars import GRat, ONE, I, as_grat
+from .poly import PolyRing, Poly, _merge_terms
 from .matrix import Matrix
 
 X_SLOTS = (0, 1, 2)
@@ -28,6 +45,7 @@ T_SLOT = 3
 P0_SLOT = 4
 P_SLOTS = (5, 6, 7)
 NSLOTS = 8
+CENTRAL_KEY = (0,) * NSLOTS
 
 
 class WeylAlgebra:
@@ -36,15 +54,19 @@ class WeylAlgebra:
     def __init__(self, params: PolyRing):
         self.params = params
         self.zero = WeylElement(self, {})
-        self.one = WeylElement(self, {(0,) * NSLOTS: params.one})
+        self.one = WeylElement(self, {CENTRAL_KEY: params.one})
+
+    def _coefficient(self, c) -> Poly:
+        """A scalar or parameter Poly as an element of the coefficient ring."""
+        if isinstance(c, Poly):
+            if c.ring is not self.params and c.ring != self.params:
+                raise ValueError("foreign coefficient ring")
+            return c
+        return self.params.const(as_grat(c))
 
     def const(self, c) -> "WeylElement":
-        if isinstance(c, Poly):
-            if c.ring != self.params:
-                raise ValueError("foreign coefficient ring")
-            return WeylElement(self, {(0,) * NSLOTS: c} if c else {})
-        c = as_grat(c)
-        return WeylElement(self, {(0,) * NSLOTS: self.params.const(c)} if c else {})
+        c = self._coefficient(c)
+        return WeylElement(self, {CENTRAL_KEY: c} if c else {})
 
     def sym(self, name: str, power: int = 1) -> "WeylElement":
         return self.const(self.params.sym(name, power))
@@ -85,7 +107,8 @@ class WeylAlgebra:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, WeylAlgebra) and self.params == other.params
+        return self is other or (
+            isinstance(other, WeylAlgebra) and self.params == other.params)
 
     def __hash__(self):
         return hash(("weyl", self.params))
@@ -102,6 +125,32 @@ def _pair_reorder(n: int, m: int, bracket: GRat):
     return out
 
 
+# (momentum slot, position slot, s in p x = x p + s) for each non-commuting pair
+_CONJUGATE_SLOTS = tuple((P_SLOTS[a], X_SLOTS[a], GRat(0, -1)) for a in range(3)) \
+    + ((P0_SLOT, T_SLOT, I),)
+
+
+def _reordered(e1: tuple, e2: tuple) -> list:
+    """Normal order of the monomial product e1 * e2 as (key, factor) pairs,
+    reordering the momentum part of e1 across the position part of e2."""
+    parts = []
+    for pslot, xslot, bracket in _CONJUGATE_SLOTS:
+        n, m = e1[pslot], e2[xslot]
+        if n and m:
+            parts.append((pslot, xslot, _pair_reorder(n, m, bracket)))
+    base = list(map(add, e1, e2))
+    out = []
+    for choice in product(*(options for _, _, options in parts)):
+        key = list(base)
+        cf = ONE
+        for (pslot, xslot, _), (j, cj) in zip(parts, choice):
+            key[pslot] -= j
+            key[xslot] -= j
+            cf = cf * cj
+        out.append((tuple(key), cf))
+    return out
+
+
 class WeylElement:
     __slots__ = ("algebra", "terms")
 
@@ -113,15 +162,7 @@ class WeylElement:
 
     def __add__(self, other):
         other = self._lift(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return WeylElement(self.algebra, terms)
+        return WeylElement(self.algebra, _merge_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -129,14 +170,15 @@ class WeylElement:
         return WeylElement(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        other = self._lift(other)
+        return WeylElement(self.algebra, _merge_terms(self.terms, other.terms, negate=True))
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
+        return self._lift(other) - self
 
     def _lift(self, other) -> "WeylElement":
         if isinstance(other, WeylElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("mixed Weyl algebras")
             return other
         return self.algebra.const(other)
@@ -144,49 +186,39 @@ class WeylElement:
     # -- multiplication ----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GRat, Poly)):
-            other = self._lift(other)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
         alg = self.algebra
+        t1 = self.terms
+        if not isinstance(other, WeylElement):
+            if isinstance(other, Poly):
+                c2 = alg._coefficient(other)
+            elif isinstance(other, (int, Fraction, GRat)):
+                c2 = as_grat(other)
+            else:
+                return NotImplemented
+            if not c2:
+                return alg.zero
+            return WeylElement(alg, {e: c1 * c2 for e, c1 in t1.items()})
+        t2 = self._lift(other).terms
+        # central operands scale the other side (module doc)
+        if len(t2) == 1 and CENTRAL_KEY in t2:
+            c2 = t2[CENTRAL_KEY]
+            return WeylElement(alg, {e: c1 * c2 for e, c1 in t1.items()})
+        if len(t1) == 1 and CENTRAL_KEY in t1:
+            c1 = t1[CENTRAL_KEY]
+            return WeylElement(alg, {e: c1 * c2 for e, c2 in t2.items()})
         acc: dict = {}
-        minus_i = GRat(0, -1)
-        plus_i = I
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                coeff0 = c1 * c2
-                # start from the naive concatenation, then reorder the
-                # momentum part of e1 across the position part of e2
-                expansions = [((), coeff0)]
-                # per-axis expansion: (slots to subtract, coefficient)
-                parts: list = []
-                for a in range(3):
-                    n = e1[P_SLOTS[a]]
-                    m = e2[X_SLOTS[a]]
-                    if n and m:
-                        parts.append((P_SLOTS[a], X_SLOTS[a], _pair_reorder(n, m, minus_i)))
-                n0 = e1[P0_SLOT]
-                m0 = e2[T_SLOT]
-                if n0 and m0:
-                    parts.append((P0_SLOT, T_SLOT, _pair_reorder(n0, m0, plus_i)))
-                combos = [({}, ONE)]
-                for pslot, xslot, options in parts:
-                    new = []
-                    for sub, cf in combos:
-                        for j, cj in options:
-                            s2 = dict(sub)
-                            s2[(pslot, xslot)] = j
-                            new.append((s2, cf * cj))
-                    combos = new
-                for sub, cf in combos:
-                    key = [a + b for a, b in zip(e1, e2)]
-                    for (pslot, xslot), j in sub.items():
-                        key[pslot] -= j
-                        key[xslot] -= j
-                    coeff = coeff0 * cf
-                    k = tuple(key)
+        for e1, c1 in t1.items():
+            n0, n1, n2, n3 = e1[P0_SLOT:]
+            for e2, c2 in t2.items():
+                coeff = c1 * c2
+                # e2 starts x1, x2, x3, t: does p_a meet x_a, or p0 meet t?
+                if (n1 and e2[0]) or (n2 and e2[1]) or (n3 and e2[2]) or (n0 and e2[3]):
+                    expansion = [(k, coeff * cf) for k, cf in _reordered(e1, e2)]
+                else:
+                    expansion = ((tuple(map(add, e1, e2)), coeff),)
+                for k, c in expansion:
                     s = acc.get(k)
-                    s = coeff if s is None else s + coeff
+                    s = c if s is None else s + c
                     if s:
                         acc[k] = s
                     else:
@@ -195,7 +227,7 @@ class WeylElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GRat, Poly)):
-            return self._lift(other) * self
+            return self * other  # a central factor commutes
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -305,19 +337,6 @@ class WeylElement:
 
 def matrix_dagger(m: Matrix) -> Matrix:
     return m.T.map(lambda w: w.conjugate())
-
-
-def matrix_exp_nilpotent(m: Matrix, max_order: int = 12) -> Matrix:
-    """exp of a matrix over the Weyl algebra whose powers terminate."""
-    alg = m.entries[0][0].algebra
-    out = Matrix.identity(m.rows, alg.one, alg.zero)
-    term = out
-    for k in range(1, max_order + 1):
-        term = term @ m
-        if term.is_zero():
-            return out
-        out = out + term.map(lambda w: w * GRat(Fraction(1, factorial(k))))
-    raise ValueError(f"matrix exponential did not terminate by order {max_order}")
 
 
 # -- external fields -----------------------------------------------------------

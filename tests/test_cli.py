@@ -124,6 +124,11 @@ def test_unknown_verb_usage(capsys):
     (["catalog", "--name", "levy_leblond", "--params", "foo=1"], "does not take foo"),
     (["catalog", "--name", "proca", "--params", "x=1"], "does not take x"),
     (["catalog", "--name", "D311", "--params", "ring=2"], "does not take ring"),
+    (["classify", "--pairs=-1,2"], "is not two sizes"),
+    (["classify", "--pairs=1"], "is not two sizes"),
+    (["classify", "--pairs=1,2,3"], "is not two sizes"),
+    (["classify", "--pairs=0,-1"], "is not two sizes"),
+    (["classify", "--pairs=1,1;5,0"], "needs 847288609443 cells"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

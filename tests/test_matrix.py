@@ -11,13 +11,14 @@ from galilei.matrix import (
     canonical_span,
     det,
     linear_kernel,
+    NotNilpotentError,
     nilpotent_exp,
     nullspace,
     rank,
     rref,
     solve_homogeneous,
 )
-from galilei.poly import PolyRing
+from galilei.poly import Poly, PolyRing
 from galilei.scalars import GRat, I, ONE, ZERO
 from galilei import beta, covariance, reps
 
@@ -142,6 +143,23 @@ def test_nilpotent_exp_group_property():
     left = nilpotent_exp(n, s) @ nilpotent_exp(n, t)
     right = nilpotent_exp(n, s + t)
     assert left == right
+
+
+def test_nilpotent_exp_cut_series():
+    # exp(s) cut to degree 3 in s: the series stops where the cut empties a power
+    ring = PolyRing(("s",))
+    s = ring.sym("s")
+
+    def cut(p):
+        return Poly(ring, {e: c for e, c in p.terms.items() if e[0] <= 3})
+
+    ex = nilpotent_exp(Matrix([[s]]), cut=cut)
+    assert ex == Matrix([[ring.one + s + s * s * GRat(Fraction(1, 2))
+                          + s * s * s * GRat(Fraction(1, 6))]])
+    with pytest.raises(NotNilpotentError, match="power 2 still nonzero"):
+        nilpotent_exp(Matrix([[s]]))
+    with pytest.raises(NotNilpotentError, match="did not terminate"):
+        nilpotent_exp(Matrix([[s]]), cut=lambda p: p)
 
 
 def test_eta_p_quadratic_for_d311():

@@ -90,3 +90,65 @@ def test_scalar_fast_paths(case):
     assert ZERO - p == -p
     assert RING.zero + p is p and p + RING.zero is p
     assert p - p == RING.zero
+
+
+# -- products against a naive double loop ----------------------------------------
+
+PRODUCT_SEED = 7072
+
+
+def naive_product(p, q):
+    """Every term of p times every term of q, collected, zeros dropped."""
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, ZERO) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _random_monomial(rng):
+    return _mono((rng.randint(0, 3), rng.randint(0, 3), rng.randint(-3, 3)),
+                 Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 5)))
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_product_matches_naive_loop(case):
+    rng = random.Random(PRODUCT_SEED + case)
+    p, q, mono = _random_poly(rng), _random_poly(rng), _random_monomial(rng)
+    for a, b in ((p, q), (mono, p), (p, mono), (mono, mono), (mono, RING.zero)):
+        got = a * b
+        assert got.terms == naive_product(a, b)
+        assert all(got.terms.values())
+        assert (got + a * (-b)).terms == {}
+
+
+def test_product_cancellation_and_laurent_exponents():
+    x, y, m = RING.syms("x", "y", "m")
+    minv = RING.sym("m", -1)
+    # (x + y)(x - y): the cross terms cancel
+    assert ((x + y) * (x - y)).terms == naive_product(x + y, x - y)
+    assert (x + y) * (x - y) == x * x - y * y
+    # m * m^-1 -> 1 by exponent addition, and Laurent terms cancel
+    assert m * minv == RING.one
+    assert ((m + minv) * (m - minv)).terms == naive_product(m + minv, m - minv)
+    assert (m + minv) * (m - minv) == m * m - minv * minv
+    assert (minv * x * 3) * (m * y) == x * y * 3
+    # a monomial factor on either side of a sum whose terms then collide
+    assert (x * (y + x * minv) - y * x).terms == {(2, 0, -1): GRat(1)}
+
+
+def test_mixed_rings_raise():
+    other = PolyRing(("x", "y", "k"))
+    not_invertible = PolyRing(("x", "y", "m"))  # same names, m not invertible
+    same = PolyRing(("x", "y", "m"), invertible=("m",))  # equal to RING, built apart
+    p = RING.sym("x") + RING.sym("m", -1)
+    for q in (other.sym("k"), other.sym("x"), not_invertible.sym("m")):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(p, q)
+            with pytest.raises(ValueError):
+                op(q, p)
+    q = same.sym("y") + same.sym("m", -1)
+    assert p * q == p * (RING.sym("y") + RING.sym("m", -1))
+    assert p - q == RING.sym("x") - RING.sym("y")

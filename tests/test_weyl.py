@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from galilei.poly import PolyRing
+from galilei.poly import PolyRing, Poly
 from galilei.scalars import GRat, I, ONE, ZERO
 from galilei.weyl import WeylAlgebra, WeylElement, FieldConfig, field_strength
 
@@ -228,3 +228,129 @@ def test_schwartz_zippel_mode():
     x, y = r.sym("x"), r.sym("y")
     assert identity_check_sampled((x + y) ** 2, x * x + x * y * 2 + y * y)
     assert not identity_check_sampled((x + y) ** 2, x * x + y * y)
+
+
+# -- products checked by their action on polynomials ----------------------------
+
+# u*v acts on polynomials f(x1, x2, x3, t) as u(v(f)), with x_a and t
+# multiplying, p_a = -i d/dx_a and p0 = i d/dt; the action is faithful, so
+# it checks every product path (central, commuting, reordered) without
+# the closed reordering formula
+PRODUCT_SEED = 7071
+FRING = PolyRing(("x1", "x2", "x3", "t", "m", "e", "h"), invertible=("m",))
+POSITION_SLOTS = (0, 1, 2, 3)   # x1, x2, x3, t
+MOMENTUM_SLOTS = (4, 5, 6, 7)   # p0, p1, p2, p3
+
+
+def act(w, f):
+    """The operator w applied to the polynomial f."""
+    out = FRING.zero
+    for key, c in w.terms.items():
+        g = f
+        for a in range(3):
+            for _ in range(key[5 + a]):
+                g = g.diff(f"x{a + 1}") * GRat(0, -1)
+        for _ in range(key[4]):
+            g = g.diff("t") * I
+        mono = [0] * len(FRING.names)
+        mono[:4] = key[:4]
+        out = out + g * Poly(FRING, {tuple(mono): ONE}) * c.map_to(FRING)
+    return out
+
+
+def _random_coefficient(rng):
+    """One or two terms c * m^k e^j h^l with k possibly negative."""
+    out = PARAMS.zero
+    for _ in range(rng.randint(1, 2)):
+        c = GRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+        if c:
+            out = out + PARAMS.sym("m", rng.randint(-1, 1)) * PARAMS.sym("e", rng.randint(0, 1)) \
+                * PARAMS.sym("h", rng.randint(0, 1)) * c
+    return out or PARAMS.one
+
+
+def _random_element(rng, kind):
+    """central: one term with the all-zero key; position, momentum: only
+    those factors; mixed: any factors."""
+    slots = {"central": (), "position": POSITION_SLOTS, "momentum": MOMENTUM_SLOTS,
+             "mixed": POSITION_SLOTS + MOMENTUM_SLOTS}[kind]
+    out = ALG.zero
+    for _ in range(1 if kind == "central" else rng.randint(1, 3)):
+        key = [0] * 8
+        for s in slots:
+            key[s] = rng.choice((0, 0, 1, 2))
+        out = out + WeylElement(ALG, {tuple(key): _random_coefficient(rng)})
+    return out
+
+
+def _random_x_poly(rng):
+    out = FRING.zero
+    for _ in range(rng.randint(1, 4)):
+        e = [rng.randint(0, 3) for _ in range(4)] + [0, rng.randint(0, 1), 0]
+        out = out + Poly(FRING, {tuple(e): GRat(Fraction(rng.randint(1, 9), rng.randint(1, 3)))})
+    return out
+
+
+KINDS = ("central", "position", "momentum", "mixed")
+
+
+@pytest.mark.parametrize("left", KINDS)
+@pytest.mark.parametrize("right", KINDS)
+def test_product_matches_action(left, right):
+    rng = random.Random(f"{PRODUCT_SEED}:{left}:{right}")
+    for _ in range(6):
+        u, v = _random_element(rng, left), _random_element(rng, right)
+        uv = u * v
+        for _ in range(2):
+            f = _random_x_poly(rng)
+            assert act(uv, f) == act(u, act(v, f))
+        assert all(uv.terms.values())
+
+
+def test_product_paths_are_all_drawn():
+    # the draws above meet both commuting and reordered monomial pairs,
+    # including a p0 against a t
+    rng = random.Random(f"{PRODUCT_SEED}:mixed:mixed")
+    meets = set()
+    for _ in range(6):
+        u, v = _random_element(rng, "mixed"), _random_element(rng, "mixed")
+        for e1 in u.terms:
+            for e2 in v.terms:
+                meets.add(tuple(bool(e1[p] and e2[x]) for p, x in
+                                zip(MOMENTUM_SLOTS, (3, 0, 1, 2))))
+    assert (False,) * 4 in meets
+    assert any(m[0] for m in meets) and any(any(m[1:]) for m in meets)
+
+
+def test_scalar_operands_match_action():
+    rng = random.Random(f"{PRODUCT_SEED}:scalars")
+    for _ in range(5):
+        u = _random_element(rng, "mixed")
+        f = _random_x_poly(rng)
+        for c in (3, Fraction(-2, 5), GRat(Fraction(1, 2), -1), _random_coefficient(rng)):
+            cf = PARAMS.const(c) if not isinstance(c, Poly) else c
+            want = act(u, f) * cf.map_to(FRING)
+            assert act(u * c, f) == want
+            if not isinstance(c, Poly):  # Poly * WeylElement is not defined
+                assert act(c * u, f) == want
+            assert act(u * ALG.const(c), f) == act(ALG.const(c) * u, f) == want
+        assert u * 0 == ALG.zero and not (ZERO * u).terms
+
+
+def test_mixed_algebras_raise():
+    other = WeylAlgebra(PolyRing(("m", "e", "k"), invertible=("m",)))
+    same = WeylAlgebra(PolyRing(("m", "e", "h"), invertible=("m",)))  # equal, built apart
+    u = ALG.x(0) * ALG.sym("e") + ALG.p(0)
+    for v in (other.x(0), other.sym("k"), other.p0 * other.t):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(u, v)
+            with pytest.raises(ValueError):
+                op(v, u)
+    with pytest.raises(ValueError):
+        u * other.params.sym("k")
+    with pytest.raises(ValueError):
+        ALG.const(other.params.sym("k"))
+    w = same.x(0) * same.sym("h") + same.p0
+    assert u * w == u * (ALG.x(0) * ALG.sym("h") + ALG.p0)
+    assert w * u - u == (ALG.x(0) * ALG.sym("h") + ALG.p0) * u - u
