@@ -11,17 +11,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, UsageError
-from .matrix import Matrix, rank, nullspace
-from .poly import PolyRing, Poly
-from . import reps
-from . import beta as beta_mod
-from . import appendix as appendix_mod
-from . import catalog as cat
-from . import spin as spin_mod
-from . import covariance as cov_mod
-from . import interaction as inter_mod
-from .weyl import FieldConfig
+# Each verb imports the library modules it runs, so a verb compiles and
+# loads only those (see the README's CLI section).  Annotations that name
+# Matrix, Poly or PolyRing are never evaluated (``annotations`` above).
+from .scalars import GRat, UsageError
 
 SCHEMA = "galilei/1"
 
@@ -144,6 +137,8 @@ def parse_field_expr(text: str, ring: PolyRing, degree_cap=2) -> Poly:
 
 
 def cmd_verify_rep(args) -> int:
+    from . import reps
+
     rep = reps.build_text(args.rep)
     res = reps.verify_hg(rep)
     _emit({"verb": "verify-rep", "rep": args.rep, "dim": rep.dim,
@@ -152,6 +147,8 @@ def cmd_verify_rep(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import reps
+
     pairs = None
     if args.pairs:
         try:
@@ -169,6 +166,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve_beta(args) -> int:
+    from . import beta as beta_mod
+
     space = beta_mod.solve_beta4_space(args.left, args.right)
     payload = {
         "verb": "solve-beta",
@@ -187,6 +186,8 @@ def cmd_solve_beta(args) -> int:
 
 
 def cmd_appendix(args) -> int:
+    from . import appendix as appendix_mod
+
     reports, summary = appendix_mod.reproduce_appendix()
     payload = {"verb": "appendix", "summary": summary}
     if args.table != "summary":
@@ -196,6 +197,9 @@ def cmd_appendix(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as cat
+    from .matrix import Matrix
+
     params = {k: _rational(v) for k, _, v in (kv.partition("=") for kv in args.params or [])}
     obj = cat.canonical(args.name, **params)
     if isinstance(obj, list):
@@ -213,6 +217,8 @@ def cmd_catalog(args) -> int:
 
 
 def _system_for_spin(name: str):
+    from . import catalog as cat
+
     if name == "levy_leblond":
         return cat.levy_leblond()
     if name == "D110":
@@ -222,14 +228,17 @@ def _system_for_spin(name: str):
     if name == "D221":
         return cat.system_D221()
     if name == "D311":
-        bs = cat.system_D311()
-        return spin_mod.generic_instance(bs, {"nu": GRat(2)})
+        from .spin import generic_instance
+
+        return generic_instance(cat.system_D311(), {"nu": GRat(2)})
     if name == "dkp_spin0":
         return cat.dkp_spin0_system()
     raise UsageError(f"unknown system {name!r}")
 
 
 def cmd_spin(args) -> int:
+    from . import spin as spin_mod
+
     bs = _system_for_spin(args.system)
     rep = spin_mod.spin_content(bs)
     _emit({
@@ -248,6 +257,8 @@ def cmd_spin(args) -> int:
 
 
 def cmd_covariance(args) -> int:
+    from . import covariance as cov_mod
+
     bs = _system_for_spin(args.system)
     if args.trials:
         res = cov_mod.finite_boost_covariance(bs, symbolic=False, samples=args.trials,
@@ -259,6 +270,9 @@ def cmd_covariance(args) -> int:
 
 
 def _build_field_config(args, extra_params=(), invertible=("m", "e")):
+    from . import interaction as inter_mod
+    from .weyl import FieldConfig
+
     # tag every potential with its own amplitude symbol so the term
     # dictionary can separate structures even for fully numeric input;
     # the tags are set to 1 in the reported coefficients
@@ -280,6 +294,9 @@ def _build_field_config(args, extra_params=(), invertible=("m", "e")):
 
 
 def cmd_reduce(args) -> int:
+    from . import catalog as cat
+    from . import interaction as inter_mod
+    from .poly import PolyRing
     from .reps import PAULI, spin1_matrix
 
     half = GRat(Fraction(1, 2))
@@ -328,6 +345,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_proca(args) -> int:
+    from . import catalog as cat
+
     ok_contraction = cat.proca_contraction_identity()
     rest = cat.proca_rest_frame_solutions()
     detinfo = cat.proca_determinant_factor()
@@ -344,6 +363,8 @@ def cmd_proca(args) -> int:
 
 
 def cmd_contract_dkp(args) -> int:
+    from . import catalog as cat
+
     res = cat.dkp_contraction()
     _emit({"verb": "contract-dkp", "main_ok": res["main_ok"], "aux_ok": res["aux_ok"]})
     return 0 if (res["main_ok"] and res["aux_ok"]) else 1

@@ -326,11 +326,6 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim={self.dim}, rank={self.dimension})"
 
 
-def solve_homogeneous(coeff: Matrix) -> SubspaceBasis:
-    """Full solution space of coeff @ x = 0, exact."""
-    return SubspaceBasis(coeff.cols, nullspace(coeff))
-
-
 class _RowAbsorber:
     """Incremental echelon form over sparse GRat rows {col: value}: ``rows``
     maps each pivot column to a row whose pivot entry is 1 and whose other

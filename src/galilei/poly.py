@@ -109,6 +109,8 @@ class Poly:
 
     def __add__(self, other):
         if not other:
+            if type(other) is Poly and other.ring is not self.ring:
+                self._lift(other)  # the zero of another ring still raises
             return self
         other = self._lift(other)
         if not self.terms:
@@ -122,6 +124,8 @@ class Poly:
 
     def __sub__(self, other):
         if not other:
+            if type(other) is Poly and other.ring is not self.ring:
+                self._lift(other)  # the zero of another ring still raises
             return self
         other = self._lift(other)
         if not self.terms:
@@ -137,7 +141,10 @@ class Poly:
             if not other:
                 return self.ring.zero
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
-        other = self._lift(other)
+        try:
+            other = self._lift(other)
+        except TypeError:
+            return NotImplemented  # e.g. a WeylElement, whose __rmul__ takes a Poly
         t1, t2 = self.terms, other.terms
         if not t1 or not t2:
             return self.ring.zero

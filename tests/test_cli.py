@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import galilei
 from galilei import beta as beta_mod
 from galilei.cli import main, parse_field_expr, FieldExprError
 from galilei.poly import PolyRing
@@ -197,3 +200,53 @@ def test_classify_golden(capsys, extra):
     rc, out, _ = run_cli(["classify", *extra], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN[extra]
+
+
+# -- import graph: each verb loads only the library modules it runs ----------------
+
+# runs cli.main(argv) (nothing for an empty argv), then prints the loaded
+# galilei modules as the last line of stderr
+_IMPORT_CHILD = """
+import sys
+from galilei import cli
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stdout.flush()
+print(" ".join(sorted(n for n in sys.modules if n.partition(".")[0] == "galilei")),
+      file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def _loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(galilei.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"]])
+def test_cli_import_loads_only_scalars(argv):
+    rc, _, loaded = _loaded_by(argv)
+    assert rc == 0
+    assert loaded == {"galilei", "galilei.cli", "galilei.scalars"}
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["verify-rep", "--rep", "D(1,1,0)+D(0,1,0)"],
+     ("beta", "catalog", "appendix", "spin", "covariance", "interaction", "weyl")),
+    (["solve-beta", "--left", "D(1,1,0)", "--right", "D(1,0,0)"],
+     ("catalog", "appendix", "interaction", "weyl")),
+    (["catalog", "--name", "gamma_hat"], ("appendix", "interaction", "weyl", "covariance")),
+    (["classify", "--pairs", "1,1"], ()),
+    (["spin", "--system", "D311"], ()),
+    (["covariance", "--system", "levy_leblond"], ()),
+    (["reduce", "--system", "levy_leblond", "--A=-1/2*x2;1/2*x1;0"], ()),
+    (["proca"], ()),
+    (["contract-dkp"], ()),
+    (["appendix"], ()),
+])
+def test_verb_loads_only_what_it_runs(capsys, argv, not_loaded):
+    rc, out, loaded = _loaded_by(argv)
+    assert rc == 0
+    assert out == run_cli(argv, capsys)[1]
+    assert loaded.isdisjoint(f"galilei.{name}" for name in not_loaded)

@@ -152,3 +152,18 @@ def test_mixed_rings_raise():
     q = same.sym("y") + same.sym("m", -1)
     assert p * q == p * (RING.sym("y") + RING.sym("m", -1))
     assert p - q == RING.sym("x") - RING.sym("y")
+
+
+def test_zero_of_another_ring_raises():
+    x = PolyRing(("x",)).sym("x")
+    other_zero = PolyRing(("y", "z")).zero
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError):
+            op(x, other_zero)
+        with pytest.raises(ValueError):
+            op(other_zero, x)
+        with pytest.raises(ValueError):
+            op(x.ring.zero, other_zero)
+        # the zero of the same ring, or of a ring equal to it, and scalar zeros pass
+        for zero in (x.ring.zero, PolyRing(("x",)).zero, 0, ZERO):
+            assert op(x, zero) == x

@@ -337,6 +337,15 @@ def test_scalar_operands_match_action():
         assert u * 0 == ALG.zero and not (ZERO * u).terms
 
 
+def test_central_poly_multiplies_from_either_side():
+    ring = PolyRing(("x",))
+    alg = WeylAlgebra(ring)
+    p = ring.sym("x") * 3 + 1
+    for w in (alg.x(0), alg.p(0), alg.p0 * alg.t + alg.sym("x")):
+        assert p * w == w * p == alg.const(p) * w
+    assert PARAMS.sym("e") * ALG.p(1) == ALG.p(1) * PARAMS.sym("e")
+
+
 def test_mixed_algebras_raise():
     other = WeylAlgebra(PolyRing(("m", "e", "k"), invertible=("m",)))
     same = WeylAlgebra(PolyRing(("m", "e", "h"), invertible=("m",)))  # equal, built apart
