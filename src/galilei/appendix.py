@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import GRat, ZERO
-from .matrix import Matrix, SubspaceBasis, _unflatten, canonical_span
-from .reps import TABLE1, endomorphisms
+from .matrix import Matrix, _unflatten, canonical_span
+from .reps import endomorphisms
 from .beta import (
     VectorCarrier,
     carrier_for,

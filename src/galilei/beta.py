@@ -35,7 +35,6 @@ from .matrix import (
 from .poly import PolyRing, Poly
 from .reps import (
     TABLE1,
-    RepLabel,
     Representation,
     spin1_matrix,
     k_row,

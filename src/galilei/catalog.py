@@ -24,19 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, ONE, I, UsageError
-from .matrix import Matrix, det, nullspace, rank, SubspaceBasis, evaluate_matrix
+from .matrix import Matrix, det, nullspace, evaluate_matrix
 from .poly import PolyRing, Poly
 from .reps import (
     RepLabel,
     Representation,
     build,
-    direct_sum,
     spin1_matrix,
-    k_row,
     PAULI,
     eps,
 )
-from .beta import BetaSystem, assemble, carrier_for, _lift
+from .beta import BetaSystem, assemble, _lift
 
 HALF = GRat(Fraction(1, 2))
 

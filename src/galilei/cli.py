@@ -299,36 +299,46 @@ def cmd_reduce(args) -> int:
     from .poly import PolyRing
     from .reps import PAULI, spin1_matrix
 
+    if args.system not in ("levy_leblond", "D311"):
+        raise UsageError(f"reduce does not support system {args.system!r}")
+    # the coupling constants enter only the anomalous coupling, and mu/nu
+    # only the spinor's Lambda; a flag given where it has no effect is refused
+    applies = ()
+    if args.coupling == "anomalous":
+        applies = ("lambda1", "lambda2", "mu_coupling", "nu_coupling")
+        if args.system == "D311":
+            applies = applies[:2]
+    for dest in ("lambda1", "lambda2", "mu_coupling", "nu_coupling"):
+        if getattr(args, dest) is not None and dest not in applies:
+            raise UsageError(f"--{dest.replace('_', '-')} does not apply to "
+                             f"--system {args.system} --coupling {args.coupling}")
+
+    def value(dest, default):
+        given = getattr(args, dest)
+        return _rational(default if given is None else given)
+
     half = GRat(Fraction(1, 2))
     if args.system == "levy_leblond":
         _, _, alg, fc = _build_field_config(args, extra_params=("lam1", "lam2"))
         bs = cat.levy_leblond()
         phys, sp = (0, 1), [s * half for s in PAULI]
-        if args.coupling == "anomalous":
-            lam = (cat.levy_leblond().beta0 * _rational(args.nu_coupling)
-                   + cat.ll_lambda_generator() * _rational(args.mu_coupling))
-            co = inter_mod.couple_anomalous(bs, fc, lam, phys, sp)
-            subs = {"lam1": alg.params.const(_rational(args.lambda1)),
-                    "lam2": alg.params.const(_rational(args.lambda2))}
-            co.matrix = co.matrix.map(lambda w: w.subs_params(subs))
-        else:
-            co = inter_mod.couple_minimal(bs, fc, phys, sp)
-    elif args.system == "D311":
+        lam = (bs.beta0 * value("nu_coupling", "1")
+               + cat.ll_lambda_generator() * value("mu_coupling", "1"))
+    else:
         _, _, alg, fc = _build_field_config(args, extra_params=("lam1", "lam2", "nu"),
                                             invertible=("m", "e", "nu"))
         nring = PolyRing(("nu",), invertible=("nu",))
         bs = cat.system_D311(ring=nring)
         phys, sp = (0, 1, 2), [spin1_matrix(a) for a in range(3)]
-        if args.coupling == "anomalous":
-            co = inter_mod.couple_anomalous(bs, fc, bs.beta0, phys, sp)
-            subs = {"lam1": alg.params.const(_rational(args.lambda1)),
-                    "lam2": alg.params.const(_rational(args.lambda2))}
-            co.matrix = co.matrix.map(lambda w: w.subs_params(subs))
-        else:
-            co = inter_mod.couple_minimal(bs, fc, phys, sp)
+        lam = bs.beta0
+    if args.coupling == "anomalous":
+        co = inter_mod.couple_anomalous(bs, fc, lam, phys, sp)
+        subs = {"lam1": alg.params.const(value("lambda1", "0")),
+                "lam2": alg.params.const(value("lambda2", "0"))}
+        co.matrix = co.matrix.map(lambda w: w.subs_params(subs))
     else:
-        raise UsageError(f"reduce does not support system {args.system!r}")
-    trunc = inter_mod.parse_truncation(args.truncate) if args.truncate else None
+        co = inter_mod.couple_minimal(bs, fc, phys, sp)
+    trunc = inter_mod.parse_truncation(args.truncate, alg.params) if args.truncate else None
     report = inter_mod.reduce_coupled(co, truncation=trunc)
     g = inter_mod.extract_g(report, alg)
     ones = {f"fa{k}": GRat(1) for k in range(4)}
@@ -410,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("reduce")
     q.add_argument("--system", required=True)
     q.add_argument("--coupling", choices=("minimal", "anomalous"), default="minimal")
-    q.add_argument("--lambda1", default="0")
-    q.add_argument("--lambda2", default="0")
-    q.add_argument("--mu-coupling", default="1")
-    q.add_argument("--nu-coupling", default="1")
+    q.add_argument("--lambda1", help="anomalous coupling only (default 0)")
+    q.add_argument("--lambda2", help="anomalous coupling only (default 0)")
+    q.add_argument("--mu-coupling", help="anomalous levy_leblond only (default 1)")
+    q.add_argument("--nu-coupling", help="anomalous levy_leblond only (default 1)")
     q.add_argument("--A0", default="")
     q.add_argument("--A", default="")
     q.add_argument("--truncate", default="", help='e.g. "e:1,nu:-2"')

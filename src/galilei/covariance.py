@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I
-from .matrix import Matrix, SubspaceBasis, nilpotent_exp, canonical_span, linear_kernel
+from .scalars import GRat, ONE, I
+from .matrix import Matrix, nilpotent_exp, linear_kernel
 from .poly import PolyRing, Poly
-from .reps import Representation, spin1_matrix, eps
+from .reps import Representation, eps
 from .beta import _lift
 
 HALF = GRat(Fraction(1, 2))

@@ -14,24 +14,26 @@ is exact by construction (residual reported, never dropped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I, UsageError
+from .scalars import GRat, I, UsageError
 from .matrix import Matrix, NotNilpotentError, nilpotent_exp
 from .poly import PolyRing, Poly
-from .weyl import WeylAlgebra, WeylElement, FieldConfig, matrix_dagger
-from .reps import Representation, spin1_matrix, eps
-from .beta import _lift
+from .weyl import WeylAlgebra, WeylElement, FieldConfig
+from .reps import Representation, eps
 
 HALF = GRat(Fraction(1, 2))
 
+# the order in which _split peels the named structures off the operator
+FIT_ORDER = ("(s.H)^2", "H^2", "E^2", "Q.dE", "Q.dH", "ss.dE", "ss.dH",
+             "s.(pixE-Expi)", "s.(pixH-Hxpi)", "divE", "s.H", "s.E")
 
-def make_setting(extra_params=(), extra_x=(), invertible=("m",)):
+
+def make_setting(extra_params=(), invertible=("m",)):
     """(params ring, x ring, Weyl algebra) with consistent symbols."""
     params = PolyRing(("m", "e") + tuple(extra_params), invertible=invertible)
-    xring = PolyRing(("x1", "x2", "x3", "m", "e") + tuple(extra_params) + tuple(extra_x),
-                     invertible=invertible)
+    xring = PolyRing(("x1", "x2", "x3", "m", "e") + tuple(extra_params), invertible=invertible)
     return params, xring, WeylAlgebra(params)
 
 
@@ -43,8 +45,6 @@ class CoupledOperator:
     fc: FieldConfig
     phys: tuple                    # indices of the physical components
     spin_phys: list                # spin matrices restricted to the block
-    name: str = "coupled"
-    couplings: dict = field(default_factory=dict)
 
 
 def _wlift(mat: Matrix, alg: WeylAlgebra) -> Matrix:
@@ -60,20 +60,23 @@ def _wlift(mat: Matrix, alg: WeylAlgebra) -> Matrix:
     return mat.map(one)
 
 
-def couple_minimal(bs, fc: FieldConfig, phys, spin_phys, name=None) -> CoupledOperator:
+def _dot(mats, ops, alg: WeylAlgebra) -> Matrix:
+    """sum_k mats[k] * ops[k]: constant (or Weyl) matrices against Weyl elements."""
+    out = Matrix.zeros(mats[0].rows, mats[0].cols, alg.zero)
+    for mat, op in zip(mats, ops):
+        out = out + _wlift(mat, alg) * op
+    return out
+
+
+def couple_minimal(bs, fc: FieldConfig, phys, spin_phys) -> CoupledOperator:
     """beta_mu pi^mu + beta4 pi^4 as a Weyl-element matrix."""
     alg = fc.algebra
-    pis = fc.pis()
-    out = _wlift(bs.beta0, alg) * pis[0]
-    for a in range(3):
-        out = out + _wlift(bs.betas[a], alg) * pis[a + 1]
-    out = out + _wlift(bs.beta4, alg) * pis[4]
-    return CoupledOperator(out, alg, bs.rep, fc, tuple(phys), spin_phys,
-                           name=name or f"{bs.name}+minimal")
+    out = _dot([bs.beta0, *bs.betas, bs.beta4], fc.pis(), alg)
+    return CoupledOperator(out, alg, bs.rep, fc, tuple(phys), spin_phys)
 
 
 def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
-                     lam1="lam1", lam2="lam2", name=None) -> CoupledOperator:
+                     lam1="lam1", lam2="lam2") -> CoupledOperator:
     """Adds (e/2m) Lambda (lam1 eta.H + lam2 (S.H - eta.E)).
 
     lam_matrix must intertwine the carrier (checked); lam1/lam2 are
@@ -87,55 +90,33 @@ def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
     ok, why = lambda_satisfies(bs.rep, lam_matrix)
     if not ok:
         raise ValueError(f"Lambda violates the intertwining conditions: {why}")
-    co = couple_minimal(bs, fc, phys, spin_phys, name=name or f"{bs.name}+anomalous")
+    co = couple_minimal(bs, fc, phys, spin_phys)
     alg = fc.algebra
     e_over_m = alg.sym("e") * alg.sym("m", -1) * HALF
-    l1 = alg.sym(lam1)
-    l2 = alg.sym(lam2)
-    eops = fc.e_ops()
     hops = fc.h_ops()
-    dim = bs.rep.dim
-    etaH = Matrix.zeros(dim, dim, alg.zero)
-    SH = Matrix.zeros(dim, dim, alg.zero)
-    etaE = Matrix.zeros(dim, dim, alg.zero)
-    lam_w = _wlift(lam_matrix, alg)
-    for a in range(3):
-        etaH = etaH + _wlift(bs.rep.eta[a], alg) * hops[a]
-        SH = SH + _wlift(bs.rep.S[a], alg) * hops[a]
-        etaE = etaE + _wlift(bs.rep.eta[a], alg) * eops[a]
-    extra = lam_w @ (etaH * (e_over_m * l1) + (SH - etaE) * (e_over_m * l2))
+    etaH = _dot(bs.rep.eta, hops, alg)
+    SH = _dot(bs.rep.S, hops, alg)
+    etaE = _dot(bs.rep.eta, fc.e_ops(), alg)
+    extra = _wlift(lam_matrix, alg) @ (etaH * (e_over_m * alg.sym(lam1))
+                                       + (SH - etaE) * (e_over_m * alg.sym(lam2)))
     co.matrix = co.matrix + extra
-    co.couplings = {"lam1": lam1, "lam2": lam2}
     return co
 
 
-def conjugate_reduce(co: CoupledOperator, scale=None) -> Matrix:
-    """L' = exp(-i eta^H.pi/m) L exp(+i eta.pi/m) (or with an arbitrary
-    central scale t in place of 1/m), fully normal-ordered."""
+def conjugate_reduce(co: CoupledOperator) -> Matrix:
+    """L' = exp(-i eta^H.pi/m) L exp(+i eta.pi/m), fully normal-ordered."""
     alg = co.algebra
-    t = scale if scale is not None else alg.sym("m", -1)
-    dim = co.rep.dim
-    pis = [co.fc.pi(a + 1) for a in range(3)]
-    etapi = Matrix.zeros(dim, dim, alg.zero)
-    etapih = Matrix.zeros(dim, dim, alg.zero)
-    for a in range(3):
-        etapi = etapi + _wlift(co.rep.eta[a], alg) * pis[a]
-        etapih = etapih + _wlift(co.rep.eta[a].H, alg) * pis[a]
-    iu = GRat(0, 1)
-    right = nilpotent_exp(etapi.map(lambda w: w * (iu * 1) * t))
-    left = nilpotent_exp(etapih.map(lambda w: w * (iu * -1) * t))
+    pis = co.fc.pis()[1:4]
+    i_over_m = alg.sym("m", -1) * I
+    right = nilpotent_exp(_dot(co.rep.eta, pis, alg), t=i_over_m)
+    left = nilpotent_exp(_dot([eta.H for eta in co.rep.eta], pis, alg), t=-i_over_m)
     return left @ co.matrix @ right
 
 
-def conjugate_by_nilpotent(op: Matrix, exponent: Matrix, dagger_pair=True) -> Matrix:
-    """W1 op W2 with W2 = exp(exponent); W1 = exp(-exponent^H) when
-    dagger_pair (the invariance-preserving sandwich), else exp(-exponent)."""
-    right = nilpotent_exp(exponent)
-    if dagger_pair:
-        left = nilpotent_exp(matrix_dagger(exponent).map(lambda w: w * (-1)))
-    else:
-        left = nilpotent_exp(exponent.map(lambda w: w * (-1)))
-    return left @ op @ right
+def conjugate_by_nilpotent(op: Matrix, exponent: Matrix) -> Matrix:
+    """exp(-exponent) op exp(exponent)."""
+    left = nilpotent_exp(exponent.map(lambda w: w * (-1)))
+    return left @ op @ nilpotent_exp(exponent)
 
 
 def _constant_invertible(w: WeylElement):
@@ -213,25 +194,18 @@ class ReductionReport:
     residual: Matrix               # what the dictionary did not match
     normalisation: Poly            # the p0 coefficient divided out
     structures: dict               # term name -> structure matrix
-    g: Poly = None
-    notes: tuple = ()
 
 
-def term_structures(co: CoupledOperator, normalised_block: Matrix) -> dict:
+def term_structures(co: CoupledOperator) -> dict:
     """The dictionary of named normal-ordered shapes on the physical block."""
     alg = co.algebra
     d = len(co.phys)
     iden = Matrix.identity(d, alg.one, alg.zero)
     spin = [_wlift(s, alg) for s in co.spin_phys]
-    eops = co.fc.e_ops()
-    hops = co.fc.h_ops()
-    pis = [co.fc.pi(a + 1) for a in range(3)]
-
-    def dot(ops):
-        out = Matrix.zeros(d, d, alg.zero)
-        for a in range(3):
-            out = out + spin[a] * ops[a]
-        return out
+    fields = {"E": co.fc.e_field(), "H": co.fc.h_field()}
+    eops = [alg.from_x_poly(p) for p in fields["E"]]
+    hops = [alg.from_x_poly(p) for p in fields["H"]]
+    pis = co.fc.pis()[1:4]
 
     def cross(u, v):
         out = [alg.zero] * 3
@@ -243,115 +217,95 @@ def term_structures(co: CoupledOperator, normalised_block: Matrix) -> dict:
                         out[a] = out[a] + u[b] * v[c] * s
         return out
 
-    sh = dot(hops)
-    se = dot(eops)
-    sf_kin = dot([x - y for x, y in zip(cross(pis, eops), cross(eops, pis))])
-    sh_kin = dot([x - y for x, y in zip(cross(pis, hops), cross(hops, pis))])
-    div_e = alg.zero
-    for a in range(3):
-        div_e = div_e + alg.from_x_poly(co.fc.e_field()[a].diff(f"x{a+1}"))
-    h2 = alg.zero
-    e2 = alg.zero
-    for a in range(3):
-        h2 = h2 + hops[a] * hops[a]
-        e2 = e2 + eops[a] * eops[a]
-    # quadrupole with electric gradients: Q_ab = s_a s_b + s_b s_a - (4/3) d_ab
-    quad_e = Matrix.zeros(d, d, alg.zero)
-    quad_h = Matrix.zeros(d, d, alg.zero)
-    four_thirds = GRat(Fraction(4, 3))
-    degenerate_q = True  # Q_ab proportional to delta_ab (spin-1/2 blocks)
-    qmats = {}
-    for a in range(3):
-        for b in range(3):
-            q = spin[a] @ spin[b] + spin[b] @ spin[a]
-            if a == b:
-                q = q - iden * alg.const(four_thirds)
-            qmats[(a, b)] = q
-            if a != b and not q.is_zero():
-                degenerate_q = False
-    for a in range(3):
-        for b in range(3):
-            de = alg.from_x_poly(co.fc.e_field()[a].diff(f"x{b+1}"))
-            dh = alg.from_x_poly(co.fc.h_field()[a].diff(f"x{b+1}"))
-            quad_e = quad_e + qmats[(a, b)] * de
-            quad_h = quad_h + qmats[(a, b)] * dh
+    def s_dot_curl(ops):
+        """s.(pi x F - F x pi)"""
+        return _dot(spin, [x - y for x, y in zip(cross(pis, ops), cross(ops, pis))], alg)
+
+    sh = _dot(spin, hops, alg)
     out = {
         "s.H": sh,
-        "s.E": se,
-        "s.(pixE-Expi)": sf_kin,
-        "s.(pixH-Hxpi)": sh_kin,
-        "divE": iden * div_e,
-        "H^2": iden * h2,
-        "E^2": iden * e2,
+        "s.E": _dot(spin, eops, alg),
+        "s.(pixE-Expi)": s_dot_curl(eops),
+        "s.(pixH-Hxpi)": s_dot_curl(hops),
+        "divE": iden * alg.from_x_poly(co.fc.div_e()),
+        "H^2": iden * sum((h * h for h in hops), alg.zero),
+        "E^2": iden * sum((e * e for e in eops), alg.zero),
         "(s.H)^2": sh @ sh,
     }
-    if not degenerate_q:
-        out["Q.dE"] = quad_e
-        out["Q.dH"] = quad_h
-        # symmetrised spin gradients without the trace subtraction;
-        # the quadrupole is ss - (4/3) delta tr
-        ss_e = Matrix.zeros(d, d, alg.zero)
-        ss_h = Matrix.zeros(d, d, alg.zero)
-        for a in range(3):
-            for b in range(3):
-                ss = spin[a] @ spin[b] + spin[b] @ spin[a]
-                de = alg.from_x_poly(co.fc.e_field()[a].diff(f"x{b+1}"))
-                dh = alg.from_x_poly(co.fc.h_field()[a].diff(f"x{b+1}"))
-                ss_e = ss_e + ss * de
-                ss_h = ss_h + ss * dh
-        out["ss.dE"] = ss_e
-        out["ss.dH"] = ss_h
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    ss = {}
+    for a, b in pairs:
+        if a <= b:
+            ss[a, b] = ss[b, a] = spin[a] @ spin[b] + spin[b] @ spin[a]
+    if all(ss[a, b].is_zero() for a, b in pairs if a != b):
+        return out  # Q_ab proportional to delta_ab (spin-1/2 blocks): no quadrupole
+    # quadrupole Q_ab = s_a s_b + s_b s_a - (4/3) delta_ab against the field gradients
+    shift = iden * alg.const(GRat(Fraction(4, 3)))
+    quad = [ss[a, b] - shift if a == b else ss[a, b] for a, b in pairs]
+    grads = {k: [alg.from_x_poly(f[a].diff(f"x{b+1}")) for a, b in pairs]
+             for k, f in fields.items()}
+    for k in ("E", "H"):
+        out[f"Q.d{k}"] = _dot(quad, grads[k], alg)
+    # symmetrised spin gradients without the trace subtraction
+    for k in ("E", "H"):
+        out[f"ss.d{k}"] = _dot([ss[ab] for ab in pairs], grads[k], alg)
     return out
 
 
-def reduce_coupled(co: CoupledOperator, order=None, truncation=None) -> ReductionReport:
+def _split(co: CoupledOperator, block: Matrix, norm: Poly, cut=None) -> ReductionReport:
+    """Subtract the minimal kinetic part pi0 - pi^2/2m from the normalised
+    block and peel the named structures off in FIT_ORDER; what is left is
+    the residual (exact, never dropped).
+
+    cut, when given, is a truncation map applied to the rest, to each
+    structure and after each subtraction.  The peel is greedy: each
+    structure is matched at its anchor coefficient.
+    """
+    alg = co.algebra
+    pis = co.fc.pis()
+    kin = pis[0] - sum((p * p for p in pis[1:4]), alg.zero) * (alg.sym("m", -1) * HALF)
+    X = block - Matrix.identity(len(co.phys), alg.one, alg.zero) * kin
+    if cut:
+        X = X.map(cut)
+    structures = term_structures(co)
+    field_syms = co.fc.amplitude_symbols()
+    named = {}
+    for nm in FIT_ORDER:
+        if nm not in structures:
+            continue
+        T = structures[nm]
+        if cut:
+            T = T.map(cut)
+        c = _match_coefficient(X, T, field_syms)
+        if c:
+            named[nm] = c
+            X = X - T.map(lambda w: w * c)
+            if cut:
+                X = X.map(cut)
+    return ReductionReport(block, named, X, norm, structures)
+
+
+def reduce_coupled(co: CoupledOperator, truncation=None) -> ReductionReport:
     """Full reduction: conjugate, eliminate auxiliaries, normalise, and
     split into named terms plus residual (exact).
 
-    order: fit order for the named terms (list of names); defaults to
-    all structures.  The fit peels terms greedily by matching anchor
-    coefficients; the exactness invariant is the reported residual.
+    truncation, a list of (symbol, lo, hi) windows, is applied to the
+    conjugated operator before the elimination.
     """
     conj = conjugate_reduce(co)
     if truncation:
         conj = conj.map(lambda w: w.truncate(truncation))
     alg = co.algebra
-    elim = eliminate_auxiliaries(conj, co.phys, alg)
-    block = elim["operator"]
-    d = len(co.phys)
+    block = eliminate_auxiliaries(conj, co.phys, alg)["operator"]
     # normalise to unit p0 coefficient (it must be central constant * I)
     p0coeff = block[0, 0].coefficient_of_key(p0=1)
     if not p0coeff:
         raise ValueError("physical block has no p0 term")
     norm = Poly(alg.params, dict(p0coeff.terms))
-    inv = alg.const(norm.monomial_inverse()) if len(norm.terms) == 1 else None
-    if inv is None:
+    if len(norm.terms) != 1:
         raise ValueError("p0 coefficient is not a monomial; cannot normalise exactly")
-    block = block.map(lambda w: inv * w)
-    # subtract the minimal-kinetic part: pi0 - pi^2/2m
-    pis = co.fc.pis()
-    kin = pis[0]
-    pi2 = alg.zero
-    for a in range(3):
-        pi2 = pi2 + pis[a + 1] * pis[a + 1]
-    minv = alg.sym("m", -1)
-    kin = kin - pi2 * (minv * HALF)
-    iden = Matrix.identity(d, alg.one, alg.zero)
-    X = block - iden * kin
-    structures = term_structures(co, block)
-    field_syms = co.fc.amplitude_symbols()
-    default_order = ("(s.H)^2", "H^2", "E^2", "Q.dE", "Q.dH", "ss.dE", "ss.dH",
-                     "s.(pixE-Expi)", "s.(pixH-Hxpi)", "divE", "s.H", "s.E")
-    named = {}
-    for nm in (order or default_order):
-        if nm not in structures:
-            continue
-        T = structures[nm]
-        c = _match_coefficient(X, T, field_syms)
-        if c is not None and c:
-            named[nm] = c
-            X = X - T.map(lambda w: w * c)
-    return ReductionReport(block, named, X, norm, structures)
+    inv = alg.const(norm.monomial_inverse())
+    return _split(co, block.map(lambda w: inv * w), norm)
 
 
 def _match_coefficient(X: Matrix, T: Matrix, field_syms=()):
@@ -420,15 +374,8 @@ def second_conjugation(report: ReductionReport, co: CoupledOperator, kappa,
     s.E coupling cancels for the kappa matching its coefficient.
     """
     alg = co.algebra
-    d = len(co.phys)
-    pis = [co.fc.pi(a + 1) for a in range(3)]
-    spin = [_wlift(s, alg) for s in co.spin_phys]
-    spi = Matrix.zeros(d, d, alg.zero)
-    for a in range(3):
-        spi = spi + spin[a] * pis[a]
-    minv = alg.sym("m", -1)
-    iu = GRat(0, 1)
-    expo = spi.map(lambda w: w * (iu * 1) * (minv * kappa))
+    spi = _dot(co.spin_phys, co.fc.pis()[1:4], alg)
+    expo = spi.map(lambda w: w * I * (alg.sym("m", -1) * kappa))
     try:
         U = nilpotent_exp(expo)
     except NotNilpotentError:
@@ -439,43 +386,18 @@ def second_conjugation(report: ReductionReport, co: CoupledOperator, kappa,
         # multiplied by positive powers carried by the operand
         build = _extend_window(truncation, report.operator)
 
-        def cut(w):
+        def wide(w):
             return w.truncate(build)
 
-        U = nilpotent_exp(expo, cut=cut)
-        Uinv = nilpotent_exp(expo.map(lambda w: w * (-1)), cut=cut)
+        U = nilpotent_exp(expo, cut=wide)
+        Uinv = nilpotent_exp(expo.map(lambda w: w * (-1)), cut=wide)
     else:
         Uinv = nilpotent_exp(expo.map(lambda w: w * (-1)))
     block = U @ report.operator @ Uinv
-    if truncation:
-        block = block.map(lambda w: w.truncate(truncation))
-    # re-split against the same dictionary
-    kin = co.fc.pi(0)
-    pi2 = alg.zero
-    for a in range(3):
-        pi2 = pi2 + pis[a] * pis[a]
-    kin = kin - pi2 * (minv * HALF)
-    iden = Matrix.identity(d, alg.one, alg.zero)
-    X = block - iden * kin
-    if truncation:
-        X = X.map(lambda w: w.truncate(truncation))
-    structures = term_structures(co, block)
-    field_syms = co.fc.amplitude_symbols()
-    named = {}
-    for nm in ("(s.H)^2", "H^2", "E^2", "Q.dE", "Q.dH", "ss.dE", "ss.dH",
-               "s.(pixE-Expi)", "s.(pixH-Hxpi)", "divE", "s.H", "s.E"):
-        if nm not in structures:
-            continue
-        T = structures[nm]
-        if truncation:
-            T = T.map(lambda w: w.truncate(truncation))
-        c = _match_coefficient(X, T, field_syms)
-        if c is not None and c:
-            named[nm] = c
-            X = X - T.map(lambda w: w * c)
-            if truncation:
-                X = X.map(lambda w: w.truncate(truncation))
-    return ReductionReport(block, named, X, report.normalisation, structures)
+    window = (lambda w: w.truncate(truncation)) if truncation else None
+    if window:
+        block = block.map(window)
+    return _split(co, block, report.normalisation, cut=window)
 
 
 def _extend_window(truncation, operand: Matrix):
@@ -520,12 +442,11 @@ def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
     from .weyl import field_strength
 
     F = field_strength(fc)
+    pi2 = sum((p * p for p in pis[1:4]), alg.zero)
     # pi_n pi^n = 2 m pi0 - pi^2 (pi4 = m central)
-    pin2 = pis[0] * m * 2
-    for a in range(3):
-        pin2 = pin2 - pis[a + 1] * pis[a + 1]
-    lower = [m, None, None, None, None]
-    iu = GRat(0, 1)
+    pin2 = pis[0] * m * 2 - pi2
+    # the metric ghat_{k n} pairs column n with k = gcol[n], of sign sgn[n]
+    gcol, sgn = (4, 1, 2, 3, 0), (1, -1, -1, -1, 1)
     rows = []
     for mm in range(5):
         row = []
@@ -542,9 +463,7 @@ def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
                 ent = ent + pin2
             # + 2 i e F^{m k} g_{k n} column term: psi_n lowered index
             # 2 i (eF)^{m k} ghat_{k n}
-            gcol = {0: 4, 4: 0, 1: 1, 2: 2, 3: 3}
-            sgn = {0: 1, 4: 1, 1: -1, 2: -1, 3: -1}
-            ent = ent + F[mm, gcol[n]] * (iu * 2) * sgn[n]
+            ent = ent + F[mm, gcol[n]] * (I * 2) * sgn[n]
             if mm == 0 and n == 4:
                 ent = ent + lam_s * m
             row.append(ent)
@@ -557,9 +476,6 @@ def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
         T.entries[a + 1][4] = pis[a + 1] * minv
     for a in range(3):
         T.entries[0][a + 1] = pis[a + 1] * minv
-    pi2 = alg.zero
-    for a in range(3):
-        pi2 = pi2 + pis[a + 1] * pis[a + 1]
     T.entries[0][4] = pi2 * (minv * minv * HALF)
     O = W @ T
     # exact elimination of psi^0 (col 0) and psi^4 (col 4) needs the
@@ -568,8 +484,8 @@ def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
     return {"full": W, "changed": O, "reduced": elim["operator"], "solved": elim["solved"]}
 
 
-def parse_truncation(text: str):
-    """Parse "l3:2,e:1,nu:-2" into truncation windows.
+def parse_truncation(text: str, ring: PolyRing):
+    """Parse "l3:2,e:1,nu:-2" into truncation windows on symbols of ring.
 
     A positive cap keeps exponents in [0, cap]; a negative cap keeps
     exponents >= cap (for inverse small parameters such as 1/nu)."""
@@ -579,12 +495,15 @@ def parse_truncation(text: str):
         if not piece:
             continue
         name, _, cap = piece.partition(":")
+        name = name.strip()
+        if name not in ring.index:
+            raise UsageError(f"truncation symbol {name!r} is not a parameter of this reduction")
         try:
             cap = int(cap)
         except ValueError:
             raise UsageError(f"bad truncation cap in {piece!r}") from None
         if cap >= 0:
-            out.append((name.strip(), 0, cap))
+            out.append((name, 0, cap))
         else:
-            out.append((name.strip(), cap, 10 ** 6))
+            out.append((name, cap, 10 ** 6))
     return out

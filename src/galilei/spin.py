@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I
-from .matrix import Matrix, det, nullspace, rank, nilpotent_exp, evaluate_matrix, rref
+from .scalars import GRat, ZERO, I
+from .matrix import Matrix, det, nullspace, rank, nilpotent_exp, evaluate_matrix
 from .poly import PolyRing, Poly
-from .reps import Representation, eps, spin1_matrix
+from .reps import Representation, eps
 from .beta import BetaSystem, _lift
 
 

@@ -335,10 +335,6 @@ class WeylElement:
 # -- matrices over the Weyl algebra -------------------------------------------
 
 
-def matrix_dagger(m: Matrix) -> Matrix:
-    return m.T.map(lambda w: w.conjugate())
-
-
 # -- external fields -----------------------------------------------------------
 
 

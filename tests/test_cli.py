@@ -101,6 +101,29 @@ def test_reduce_anomalous(capsys):
     assert payload["g"] == "17/6"  # 2 + 1*(1/2) + 1*(1/3)
 
 
+# sha256 of `galilei reduce` stdout, recorded (PYTHONHASHSEED=0) before the
+# two coupling reductions shared one split
+_FIELDS = ["--A=-1/2*x2;1/2*x1;0"]
+_LAMBDAS = ["--coupling", "anomalous", "--lambda1", "1/2", "--lambda2", "1/3"]
+REDUCE_GOLDEN = [
+    (["--system", "levy_leblond", *_LAMBDAS, *_FIELDS, "--A0=-x1"],
+     "ccf03c793d9ce7659a1bba1e8d75dc02902c64da372be64c2d6203bb950d747a"),
+    (["--system", "D311", *_LAMBDAS, *_FIELDS, "--A0=-1/2*x1^2"],
+     "7beb55df1988b1ed1689e040d7aa92b918ad020ffbaaffd96e87dff6eed8af4c"),
+    (["--system", "D311", "--coupling", "minimal", *_FIELDS, "--A0=-1/2*x1^2"],
+     "6f7874b7d2c3556fd61ab2486d327bd351e503f393b7491ff3d282b0606182bb"),
+    (["--system", "D311", *_LAMBDAS, *_FIELDS, "--A0=-1/2*x1^2", "--truncate", "e:1,nu:-2"],
+     "7beb55df1988b1ed1689e040d7aa92b918ad020ffbaaffd96e87dff6eed8af4c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REDUCE_GOLDEN)
+def test_reduce_golden(capsys, argv, digest):
+    rc, out, _ = run_cli(["reduce", *argv], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_error(capsys):
     rc, out, err = run_cli(
         ["reduce", "--system", "levy_leblond", "--A0", "x1*x2*x3"], capsys)
@@ -132,6 +155,19 @@ def test_unknown_verb_usage(capsys):
     (["classify", "--pairs=1,2,3"], "is not two sizes"),
     (["classify", "--pairs=0,-1"], "is not two sizes"),
     (["classify", "--pairs=1,1;5,0"], "needs 847288609443 cells"),
+    (["reduce", "--system", "levy_leblond", "--A0=x1", "--truncate", "zz:1"],
+     "truncation symbol 'zz'"),
+    (["reduce", "--system", "levy_leblond", "--A0=x1", "--truncate", ":1"],
+     "truncation symbol ''"),
+    (["reduce", "--system", "D311", "--coupling", "anomalous", "--mu-coupling", "5"],
+     "--mu-coupling does not apply"),
+    (["reduce", "--system", "D311", "--coupling", "anomalous", "--nu-coupling", "7"],
+     "--nu-coupling does not apply"),
+    (["reduce", "--system", "levy_leblond", "--lambda1", "1/2"], "--lambda1 does not apply"),
+    (["reduce", "--system", "D311", "--coupling", "minimal", "--lambda2", "1/3"],
+     "--lambda2 does not apply"),
+    (["reduce", "--system", "levy_leblond", "--mu-coupling", "2"],
+     "--mu-coupling does not apply"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

@@ -197,6 +197,22 @@ def test_vector_clean_pauli_slice():
     assert str(extract_g(rep, alg)) == "2"
 
 
+def test_second_conjugation_by_zero_repeats_the_split():
+    # kappa = 0 makes U the identity, so re-splitting the reduced block
+    # must give back reduce_coupled's operator, named terms and residual
+    _, _, alg, fc = spinor_setting()
+    spinor = couple_minimal(cat.levy_leblond(), fc, phys=(0, 1), spin_phys=spin_half())
+    _, _, alg, fc, bs = vector_setting(with_h=True)
+    vector = couple_anomalous(bs, fc, bs.beta0, phys=(0, 1, 2),
+                              spin_phys=[spin1_matrix(a) for a in range(3)])
+    for co in (spinor, vector):
+        rep = reduce_coupled(co)
+        again = second_conjugation(rep, co, 0, None)
+        assert again.operator == rep.operator
+        assert list(again.named.items()) == list(rep.named.items())
+        assert again.residual == rep.residual
+
+
 def test_proca_interacting_constant_h():
     params, xring, alg = make_setting(extra_params=("h", "lam"),
                                       invertible=("m", "e", "lam"))
