@@ -255,8 +255,6 @@ AMENDED_CELLS = {
     (2, (2, 1, 0), (2, 1, 0)): {"E": "kappa"},
     # the vanishing corner sits at R_22, not R_21
     (2, (2, 1, 0), (2, 1, 1)): {"R": "mu sigma; nu 0"},
-    # R is symmetric here (hermitian family), one letter slipped
-    (3, (2, 1, 1), (2, 1, 1)): {"R": "mu nu; nu 0"},
     # printed a scalar where a 2x1 block lives; both entries are free
     (3, (2, 0, 0), (1, 1, 0)): {"R": "mu; nu"},
     (3, (2, 0, 0), (1, 1, 1)): {"R": "mu; nu"},

@@ -22,14 +22,14 @@ solution (and are also exposed directly for assembly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I, UsageError
+from .scalars import GRat, ZERO, HALF, I, UsageError
 from .matrix import (
     Matrix,
     SubspaceBasis,
     _unflatten,
     canonical_span,
+    dot,
     linear_kernel,
 )
 from .poly import PolyRing, Poly
@@ -104,50 +104,29 @@ def carrier_for(labels) -> VectorCarrier:
 # -- block assembly -------------------------------------------------------------
 
 
-def _lift(mat: Matrix, ring: PolyRing) -> Matrix:
-    def one(x):
-        if isinstance(x, Poly):
-            return x if x.ring == ring else x.map_to(ring)
-        return ring.const(x)
-
-    return mat.map(one)
-
-
 def beta_from_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E, F, G, H, M, N,
                      ring=None):
     """The five beta blocks mapping the right carrier into the left one.
 
-    Entries may be GRat or Poly; with Poly blocks pass the ring.
+    Entries may be GRat or Poly; with Poly blocks pass the ring, and every
+    block is lifted into it.
     """
-    if ring is None:
-        zero, one = ZERO, ONE
-        ident = lambda n: Matrix.identity(n)
-        i_unit = I
-    else:
-        zero, one = ring.zero, ring.one
-        ident = lambda n: Matrix.identity(n, ring.one, ring.zero)
-        i_unit = ring.const(I)
+    zero = ZERO
+    if ring is not None:
+        zero = ring.zero
+        R, E, F, G, H, M, N = (b.lift(ring) for b in (R, E, F, G, H, M, N))
     Nl, Ml, Nr, Mr = car_l.N, car_l.M, car_r.N, car_r.M
-
-    def wrap(x):
-        if ring is not None:
-            return _lift(x, ring)
-        return x
-
-    R, E, F, G, H, M, N = map(wrap, (R, E, F, G, H, M, N))
-    i3 = ident(3)
+    i3 = Matrix.identity(3)
     beta4 = Matrix.direct_sum([R.kron(i3), E])
     beta0 = Matrix.direct_sum([F.kron(i3), G])
     betas = []
     for a in range(3):
-        sa = wrap(spin1_matrix(a))
-        ka = wrap(k_row(a))
-        kah = wrap(k_row(a).H)
-        tl = H.kron(sa) if Nl and Nr else Matrix.zeros(3 * Nl, 3 * Nr, zero)
-        tr = M.kron(kah) if Nl and Mr else Matrix.zeros(3 * Nl, Mr, zero)
+        ka = k_row(a)
+        tl = H.kron(spin1_matrix(a)) if Nl and Nr else Matrix.zeros(3 * Nl, 3 * Nr, zero)
+        tr = M.kron(ka.H) if Nl and Mr else Matrix.zeros(3 * Nl, Mr, zero)
         bl = N.kron(ka) if Ml and Nr else Matrix.zeros(Ml, 3 * Nr, zero)
         br = Matrix.zeros(Ml, Mr, zero)
-        betas.append(Matrix.block([[tl, tr], [bl, br]]) * i_unit)
+        betas.append(Matrix.block([[tl, tr], [bl, br]]) * I)
     return beta0, betas, beta4
 
 
@@ -258,11 +237,8 @@ class BetaSystem:
 
     def operator(self, ring: PolyRing, momenta=("p0", "p1", "p2", "p3"), mass="m") -> Matrix:
         """The wave operator beta_mu p^mu + beta4 m as a Poly matrix."""
-        out = _lift(self.beta0, ring) * ring.sym(momenta[0])
-        for a in range(3):
-            out = out + _lift(self.betas[a], ring) * ring.sym(momenta[a + 1])
-        out = out + _lift(self.beta4, ring) * ring.sym(mass)
-        return out
+        return dot([self.beta0, *self.betas, self.beta4],
+                   [ring.sym(n) for n in (*momenta, mass)], ring)
 
 
 def assemble(carrier, R: Matrix, E: Matrix, name="system", params=()) -> BetaSystem:
@@ -271,12 +247,8 @@ def assemble(carrier, R: Matrix, E: Matrix, name="system", params=()) -> BetaSys
     if isinstance(carrier, str):
         carrier = carrier_for(carrier)
     H, M, N, F, G = derived_blocks(carrier, carrier, R, E)
-    ring = None
-    sample = [x for mat in (R, E) for row in mat.entries for x in row]
-    for x in sample:
-        if isinstance(x, Poly):
-            ring = x.ring
-            break
+    ring = next((x.ring for mat in (R, E) for row in mat.entries for x in row
+                 if isinstance(x, Poly)), None)
     beta0, betas, beta4 = beta_from_blocks(carrier, carrier, R, E, F, G, H, M, N, ring=ring)
     bs = BetaSystem(name, carrier.representation(), beta0, betas, beta4,
                     params=tuple(params), carrier=carrier,
@@ -288,33 +260,25 @@ def assemble(carrier, R: Matrix, E: Matrix, name="system", params=()) -> BetaSys
 
 
 def verify_conditions(bs: BetaSystem) -> dict:
-    """Check all condition families identically (in any free parameters)."""
+    """Check all condition families identically (in any free parameters).
+
+    GRat carrier matrices and Poly betas mix entrywise, so nothing is lifted.
+    """
     rep = bs.rep
-    ring = None
-    for row in bs.beta4.entries:
-        for x in row:
-            if isinstance(x, Poly):
-                ring = x.ring
-                break
-        if ring:
-            break
-    lift = (lambda m: _lift(m, ring)) if ring else (lambda m: m)
-    iu = ring.const(I) if ring else I
-    etas = [lift(rep.eta[a]) for a in range(3)]
-    etas_h = [lift(rep.eta[a].H) for a in range(3)]
-    Ss = [lift(rep.S[a]) for a in range(3)]
-    b0, b4 = lift(bs.beta0), lift(bs.beta4)
-    bas = [lift(b) for b in bs.betas]
+    etas = rep.eta
+    etas_h = [eta.H for eta in etas]
+    Ss = rep.S
+    b0, b4, bas = bs.beta0, bs.beta4, bs.betas
     bad = []
     for a in range(3):
-        if not (etas_h[a] @ b4 - b4 @ etas[a] + bas[a] * iu).is_zero():
+        if not (etas_h[a] @ b4 - b4 @ etas[a] + bas[a] * I).is_zero():
             bad.append(("family1", a))
         if not (etas_h[a] @ b0 - b0 @ etas[a]).is_zero():
             bad.append(("family3", a))
         for b in range(3):
             r = etas_h[a] @ bas[b] - bas[b] @ etas[a]
             if a == b:
-                r = r + b0 * iu
+                r = r + b0 * I
             if not r.is_zero():
                 bad.append(("family2", a, b))
         if not (Ss[a] @ b0 - b0 @ Ss[a]).is_zero():
@@ -337,8 +301,6 @@ def normalize_equivalence(bs: BetaSystem) -> dict:
     the omega coefficient) and flags kappa.  Systems already in
     canonical form come back unchanged with the identity transform.
     """
-    from .poly import Poly
-
     dim = bs.rep.dim
     notes = []
     W = Matrix.identity(dim)
@@ -347,15 +309,12 @@ def normalize_equivalence(bs: BetaSystem) -> dict:
         # beta4 = [[kappa I, -i omega I], [i omega I, 2 I]]
         om = b4[0, 2]
         if om:
-            r = om * GRat(Fraction(1, 2))  # om entry is -i omega; r = -i omega/2
-            K = Matrix.zeros(4, 4) if not isinstance(om, Poly) else Matrix.zeros(4, 4, om.ring.zero)
+            r = om * HALF  # om entry is -i omega; r = -i omega/2
             lower = Matrix.block([
                 [Matrix.zeros(2, 2), Matrix.zeros(2, 2)],
                 [Matrix.identity(2), Matrix.zeros(2, 2)],
             ])
-            lower = _lift(lower, om.ring) if isinstance(om, Poly) else lower
-            W = (Matrix.identity(4, om.ring.one, om.ring.zero) if isinstance(om, Poly)
-                 else Matrix.identity(4)) + lower * r
+            W = Matrix.identity(4) + lower * r
             b4 = W.H @ b4 @ W
             b0 = W.H @ b0 @ W
             bas = [W.H @ b @ W for b in bas]

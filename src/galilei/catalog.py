@@ -21,10 +21,9 @@ Convention notes (exactness forced these choices; see the module tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .scalars import GRat, ZERO, ONE, I, UsageError
-from .matrix import Matrix, det, nullspace, evaluate_matrix
+from .scalars import GRat, ZERO, ONE, HALF, I, UsageError
+from .matrix import Matrix, det, dot, nullspace, evaluate_matrix
 from .poly import PolyRing, Poly
 from .reps import (
     RepLabel,
@@ -34,9 +33,7 @@ from .reps import (
     PAULI,
     eps,
 )
-from .beta import BetaSystem, assemble, _lift
-
-HALF = GRat(Fraction(1, 2))
+from .beta import BetaSystem, assemble
 
 
 # -- Galilean metric ------------------------------------------------------------
@@ -102,25 +99,17 @@ def check_galilean_dkp(betas, metric=None) -> dict:
 
 
 def levy_leblond(kappa=ZERO, omega=ZERO, ring=None) -> BetaSystem:
-    """Four-component spin-1/2 system; kappa, omega may be symbols."""
-    if ring is not None:
-        kappa = kappa if isinstance(kappa, Poly) else ring.const(kappa)
-        omega = omega if isinstance(omega, Poly) else ring.const(omega)
-        one = ring.one
-        iu = ring.const(I)
-        lift = lambda m: _lift(m, ring)
-    else:
-        one = ONE
-        iu = I
-        lift = lambda m: m
-    z2 = Matrix.zeros(2, 2, one * 0)
-    i2 = Matrix.identity(2, one, one * 0)
+    """Four-component spin-1/2 system; kappa, omega may be symbols of ring."""
+    z2, i2 = Matrix.zeros(2, 2), Matrix.identity(2)
     beta0 = Matrix.direct_sum([i2, z2])
-    betas = [Matrix.block([[z2, lift(sig)], [lift(sig), z2]]) for sig in PAULI]
+    betas = [Matrix.block([[z2, sig], [sig, z2]]) for sig in PAULI]
     beta4 = Matrix.block([
-        [i2 * kappa, i2 * (-(iu * omega))],
-        [i2 * (iu * omega), i2 * (one * 2)],
+        [i2 * kappa, i2 * (-(I * omega))],
+        [i2 * (I * omega), i2 * 2],
     ])
+    if ring is not None:
+        beta0, beta4 = beta0.lift(ring), beta4.lift(ring)
+        betas = [b.lift(ring) for b in betas]
     rep = build(RepLabel("S2"))
     return BetaSystem("levy_leblond", rep, beta0, betas, beta4,
                       params=tuple(p for p in ("kappa", "omega") if ring))
@@ -282,9 +271,9 @@ def nied_dkp_10() -> list:
         [i3, z3, z3, z31],
         [z13, z13, z13, Matrix([[-ring.one]])],
     ])
-    out = [eta @ _lift(b, ring) for b in (bs.beta0, *bs.betas)]
+    out = [eta @ b.lift(ring) for b in (bs.beta0, *bs.betas)]
     nu = ring.sym("nu")
-    b4t = eta @ _lift(bs.beta4, ring) - Matrix.identity(10, ring.one, ring.zero) * nu
+    b4t = eta @ bs.beta4.lift(ring) - Matrix.identity(10, ring.one, ring.zero) * nu
     out.append(b4t)
     # order as (beta_0, beta_1..3, beta_4) for the metric check
     return out
@@ -377,7 +366,7 @@ def rs_ring() -> PolyRing:
 
 
 def _gamma_poly(ring):
-    return [g.map(lambda x: ring.const(x)) for g in gamma_hat()]
+    return [g.lift(ring) for g in gamma_hat()]
 
 
 def rarita_schwinger_operator(ring=None) -> Matrix:
@@ -396,9 +385,7 @@ def rarita_schwinger_operator(ring=None) -> Matrix:
     lower = [m, -p1, -p2, -p3, p0]
     # index raising on gammas: gamma^0 = gamma_4, gamma^a = -gamma_a, gamma^4 = gamma_0
     g_up = [g[4], -g[1], -g[2], -g[3], g[0]]
-    gp = Matrix.zeros(4, 4, ring.zero)
-    for k in range(5):
-        gp = gp + g[k] * upper[k]
+    gp = dot(g, upper, ring)
     i4 = Matrix.identity(4, ring.one, ring.zero)
     blocks = []
     for mm in range(5):
@@ -425,9 +412,7 @@ def rs_consequence_stack(ring=None) -> Matrix:
     g = _gamma_poly(ring)
     p0, p1, p2, p3, m = ring.syms("p0", "p1", "p2", "p3", "m")
     upper = [p0, p1, p2, p3, m]
-    gp = Matrix.zeros(4, 4, ring.zero)
-    for k in range(5):
-        gp = gp + g[k] * upper[k]
+    gp = dot(g, upper, ring)
     i4 = Matrix.identity(4, ring.one, ring.zero)
     z4 = Matrix.zeros(4, 4, ring.zero)
     rows = []

@@ -14,7 +14,7 @@ from fractions import Fraction
 # Each verb imports the library modules it runs, so a verb compiles and
 # loads only those (see the README's CLI section).  Annotations that name
 # Matrix, Poly or PolyRing are never evaluated (``annotations`` above).
-from .scalars import GRat, UsageError
+from .scalars import GRat, HALF, UsageError
 
 SCHEMA = "galilei/1"
 
@@ -317,11 +317,10 @@ def cmd_reduce(args) -> int:
         given = getattr(args, dest)
         return _rational(default if given is None else given)
 
-    half = GRat(Fraction(1, 2))
     if args.system == "levy_leblond":
         _, _, alg, fc = _build_field_config(args, extra_params=("lam1", "lam2"))
         bs = cat.levy_leblond()
-        phys, sp = (0, 1), [s * half for s in PAULI]
+        phys, sp = (0, 1), [s * HALF for s in PAULI]
         lam = (bs.beta0 * value("nu_coupling", "1")
                + cat.ll_lambda_generator() * value("mu_coupling", "1"))
     else:

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, ONE, I
-from .matrix import Matrix, nilpotent_exp, linear_kernel
-from .poly import PolyRing, Poly
+from .scalars import GRat, ONE, HALF, I
+from .matrix import Matrix, dot, nilpotent_exp, linear_kernel
+from .poly import PolyRing
 from .reps import Representation, eps
-from .beta import _lift
-
-HALF = GRat(Fraction(1, 2))
 
 
 def boost_ring(extra=()) -> PolyRing:
@@ -40,9 +37,7 @@ def group_element(rep: Representation, ring=None, vnames=("v1", "v2", "v3"),
     """
     if ring is None:
         ring = boost_ring((half_cos, half_sin) if axis is not None else ())
-    etav = Matrix.zeros(rep.dim, rep.dim, ring.zero)
-    for a in range(3):
-        etav = etav + _lift(rep.eta[a], ring) * ring.sym(vnames[a])
+    etav = dot(rep.eta, [ring.sym(n) for n in vnames], ring)
     out = nilpotent_exp(etav * ring.const(I))
     if axis is not None:
         if axis not in (0, 1, 2):
@@ -60,7 +55,7 @@ def rotation_element(rep: Representation, axis: int, ring, half_cos="c", half_si
     series in the half angle applies to 2S.
     """
     c, s = ring.sym(half_cos), ring.sym(half_sin)
-    S = _lift(rep.S[axis], ring)
+    S = rep.S[axis].lift(ring)
     dim = rep.dim
     iden = Matrix.identity(dim, ring.one, ring.zero)
     # double.S = 2S has (2S)^3 = ... not uniform across mixed carriers; use
@@ -80,8 +75,8 @@ def rotation_element(rep: Representation, axis: int, ring, half_cos="c", half_si
         GRat(0): ring.one,
         GRat(1): cos_t + iu * sin_t,
         GRat(-1): cos_t - iu * sin_t,
-        GRat(Fraction(1, 2)): c + iu * s,
-        GRat(Fraction(-1, 2)): c - iu * s,
+        HALF: c + iu * s,
+        -HALF: c - iu * s,
     }
     out = Matrix.zeros(dim, dim, ring.zero)
     for lam in evals:
@@ -136,22 +131,10 @@ def finite_boost_covariance(bs, symbolic=True, samples=0, seed=0) -> dict:
     """
     extra = tuple(getattr(bs, "params", ()) or ())
     ring = boost_ring(extra)
-
-    def lift(mat):
-        return mat.map(lambda x: x.map_to(ring) if isinstance(x, Poly) else ring.const(x))
-
     T = group_element(bs.rep, ring)
-    Th = T.H
-    pt = boosted_momentum(ring)
-    p = [ring.sym(n) for n in ("p0", "p1", "p2", "p3")] + [ring.sym("m")]
-
-    def op(ps):
-        out = lift(bs.beta0) * ps[0]
-        for a in range(3):
-            out = out + lift(bs.betas[a]) * ps[a + 1]
-        return out + lift(bs.beta4) * ps[4]
-
-    resid = Th @ op(pt) @ T - op(p)
+    mats = [bs.beta0, *bs.betas, bs.beta4]
+    p = [ring.sym(n) for n in ("p0", "p1", "p2", "p3", "m")]
+    resid = T.H @ dot(mats, boosted_momentum(ring), ring) @ T - dot(mats, p, ring)
     if symbolic:
         return {"ok": resid.is_zero(), "mode": "symbolic"}
     import random
@@ -208,23 +191,13 @@ def pauli_term_invariance(rep: Representation, L: Matrix) -> dict:
     H = [ring.sym(f"H{a+1}") for a in range(3)]
     Ep = [E[a] - sum((v[b] * H[c] * eps(a, b, c) for b in range(3) for c in range(3)),
                      ring.zero) for a in range(3)]
-    dim = rep.dim
-    etav = Matrix.zeros(dim, dim, ring.zero)
-    for a in range(3):
-        etav = etav + _lift(rep.eta[a], ring) * v[a]
+    etav = dot(rep.eta, v, ring)
     iu = ring.const(I)
     U = nilpotent_exp(etav * iu)
     Uinv = nilpotent_exp(etav * (-iu))
-    Lp = _lift(L, ring)
-
-    def dot(mats, comps):
-        out = Matrix.zeros(dim, dim, ring.zero)
-        for a in range(3):
-            out = out + _lift(mats[a], ring) * comps[a]
-        return out
-
-    f1 = Lp @ (dot(rep.S, H) - dot(rep.eta, E))
-    f1_t = Lp @ (U @ (dot(rep.S, H) - dot(rep.eta, Ep)) @ Uinv)
-    f2 = Lp @ dot(rep.eta, H)
-    f2_t = Lp @ (U @ dot(rep.eta, H) @ Uinv)
+    Lp = L.lift(ring)
+    f1 = Lp @ (dot(rep.S, H, ring) - dot(rep.eta, E, ring))
+    f1_t = Lp @ (U @ (dot(rep.S, H, ring) - dot(rep.eta, Ep, ring)) @ Uinv)
+    f2 = Lp @ dot(rep.eta, H, ring)
+    f2_t = Lp @ (U @ dot(rep.eta, H, ring) @ Uinv)
     return {"f1_invariant": f1 == f1_t, "f2_invariant": f2 == f2_t}

@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, I, UsageError
-from .matrix import Matrix, NotNilpotentError, nilpotent_exp
+from .scalars import GRat, HALF, I, UsageError
+from .matrix import Matrix, NotNilpotentError, dot, nilpotent_exp
 from .poly import PolyRing, Poly
 from .weyl import WeylAlgebra, WeylElement, FieldConfig
 from .reps import Representation, eps
-
-HALF = GRat(Fraction(1, 2))
 
 # the order in which _split peels the named structures off the operator
 FIT_ORDER = ("(s.H)^2", "H^2", "E^2", "Q.dE", "Q.dH", "ss.dE", "ss.dH",
@@ -47,31 +45,10 @@ class CoupledOperator:
     spin_phys: list                # spin matrices restricted to the block
 
 
-def _wlift(mat: Matrix, alg: WeylAlgebra) -> Matrix:
-    def one(x):
-        if isinstance(x, WeylElement):
-            return x
-        if not x:
-            return alg.zero
-        if isinstance(x, Poly):
-            return alg.const(x.map_to(alg.params))
-        return alg.const(x)
-
-    return mat.map(one)
-
-
-def _dot(mats, ops, alg: WeylAlgebra) -> Matrix:
-    """sum_k mats[k] * ops[k]: constant (or Weyl) matrices against Weyl elements."""
-    out = Matrix.zeros(mats[0].rows, mats[0].cols, alg.zero)
-    for mat, op in zip(mats, ops):
-        out = out + _wlift(mat, alg) * op
-    return out
-
-
 def couple_minimal(bs, fc: FieldConfig, phys, spin_phys) -> CoupledOperator:
     """beta_mu pi^mu + beta4 pi^4 as a Weyl-element matrix."""
     alg = fc.algebra
-    out = _dot([bs.beta0, *bs.betas, bs.beta4], fc.pis(), alg)
+    out = dot([bs.beta0, *bs.betas, bs.beta4], fc.pis(), alg)
     return CoupledOperator(out, alg, bs.rep, fc, tuple(phys), spin_phys)
 
 
@@ -94,11 +71,11 @@ def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
     alg = fc.algebra
     e_over_m = alg.sym("e") * alg.sym("m", -1) * HALF
     hops = fc.h_ops()
-    etaH = _dot(bs.rep.eta, hops, alg)
-    SH = _dot(bs.rep.S, hops, alg)
-    etaE = _dot(bs.rep.eta, fc.e_ops(), alg)
-    extra = _wlift(lam_matrix, alg) @ (etaH * (e_over_m * alg.sym(lam1))
-                                       + (SH - etaE) * (e_over_m * alg.sym(lam2)))
+    etaH = dot(bs.rep.eta, hops, alg)
+    SH = dot(bs.rep.S, hops, alg)
+    etaE = dot(bs.rep.eta, fc.e_ops(), alg)
+    extra = lam_matrix.lift(alg) @ (etaH * (e_over_m * alg.sym(lam1))
+                                    + (SH - etaE) * (e_over_m * alg.sym(lam2)))
     co.matrix = co.matrix + extra
     return co
 
@@ -108,15 +85,9 @@ def conjugate_reduce(co: CoupledOperator) -> Matrix:
     alg = co.algebra
     pis = co.fc.pis()[1:4]
     i_over_m = alg.sym("m", -1) * I
-    right = nilpotent_exp(_dot(co.rep.eta, pis, alg), t=i_over_m)
-    left = nilpotent_exp(_dot([eta.H for eta in co.rep.eta], pis, alg), t=-i_over_m)
+    right = nilpotent_exp(dot(co.rep.eta, pis, alg), t=i_over_m)
+    left = nilpotent_exp(dot([eta.H for eta in co.rep.eta], pis, alg), t=-i_over_m)
     return left @ co.matrix @ right
-
-
-def conjugate_by_nilpotent(op: Matrix, exponent: Matrix) -> Matrix:
-    """exp(-exponent) op exp(exponent)."""
-    left = nilpotent_exp(exponent.map(lambda w: w * (-1)))
-    return left @ op @ nilpotent_exp(exponent)
 
 
 def _constant_invertible(w: WeylElement):
@@ -201,7 +172,7 @@ def term_structures(co: CoupledOperator) -> dict:
     alg = co.algebra
     d = len(co.phys)
     iden = Matrix.identity(d, alg.one, alg.zero)
-    spin = [_wlift(s, alg) for s in co.spin_phys]
+    spin = co.spin_phys
     fields = {"E": co.fc.e_field(), "H": co.fc.h_field()}
     eops = [alg.from_x_poly(p) for p in fields["E"]]
     hops = [alg.from_x_poly(p) for p in fields["H"]]
@@ -219,12 +190,12 @@ def term_structures(co: CoupledOperator) -> dict:
 
     def s_dot_curl(ops):
         """s.(pi x F - F x pi)"""
-        return _dot(spin, [x - y for x, y in zip(cross(pis, ops), cross(ops, pis))], alg)
+        return dot(spin, [x - y for x, y in zip(cross(pis, ops), cross(ops, pis))], alg)
 
-    sh = _dot(spin, hops, alg)
+    sh = dot(spin, hops, alg)
     out = {
         "s.H": sh,
-        "s.E": _dot(spin, eops, alg),
+        "s.E": dot(spin, eops, alg),
         "s.(pixE-Expi)": s_dot_curl(eops),
         "s.(pixH-Hxpi)": s_dot_curl(hops),
         "divE": iden * alg.from_x_poly(co.fc.div_e()),
@@ -240,15 +211,15 @@ def term_structures(co: CoupledOperator) -> dict:
     if all(ss[a, b].is_zero() for a, b in pairs if a != b):
         return out  # Q_ab proportional to delta_ab (spin-1/2 blocks): no quadrupole
     # quadrupole Q_ab = s_a s_b + s_b s_a - (4/3) delta_ab against the field gradients
-    shift = iden * alg.const(GRat(Fraction(4, 3)))
+    shift = Matrix.identity(d) * GRat(Fraction(4, 3))
     quad = [ss[a, b] - shift if a == b else ss[a, b] for a, b in pairs]
     grads = {k: [alg.from_x_poly(f[a].diff(f"x{b+1}")) for a, b in pairs]
              for k, f in fields.items()}
     for k in ("E", "H"):
-        out[f"Q.d{k}"] = _dot(quad, grads[k], alg)
+        out[f"Q.d{k}"] = dot(quad, grads[k], alg)
     # symmetrised spin gradients without the trace subtraction
     for k in ("E", "H"):
-        out[f"ss.d{k}"] = _dot([ss[ab] for ab in pairs], grads[k], alg)
+        out[f"ss.d{k}"] = dot([ss[ab] for ab in pairs], grads[k], alg)
     return out
 
 
@@ -374,7 +345,7 @@ def second_conjugation(report: ReductionReport, co: CoupledOperator, kappa,
     s.E coupling cancels for the kappa matching its coefficient.
     """
     alg = co.algebra
-    spi = _dot(co.spin_phys, co.fc.pis()[1:4], alg)
+    spi = dot(co.spin_phys, co.fc.pis()[1:4], alg)
     expo = spi.map(lambda w: w * I * (alg.sym("m", -1) * kappa))
     try:
         U = nilpotent_exp(expo)

@@ -66,6 +66,35 @@ class Matrix:
     def map(self, f) -> "Matrix":
         return Matrix([[f(x) for x in r] for r in self.entries], cols=self.cols)
 
+    def lift(self, target) -> "Matrix":
+        """This matrix over ``target``, a PolyRing or a WeylAlgebra.
+
+        A scalar goes through ``target.const``; a Poly is re-expressed by
+        ``map_to`` in the target's coefficient ring (``params`` for an
+        algebra), so a symbol missing there raises ValueError; an element of
+        ``target`` is kept; a zero becomes ``target.zero``.  Algebra elements
+        are told apart by their ``algebra`` attribute, so this module does
+        not import ``weyl``.
+        """
+        ring = getattr(target, "params", target)
+        zero, const = target.zero, target.const
+
+        def entry(x):
+            kind = type(x)
+            if kind is Poly:
+                if not x:
+                    return zero
+                if x.ring is not ring:
+                    x = x.map_to(ring)
+                return x if ring is target else const(x)
+            if kind is not GRat and hasattr(x, "algebra"):
+                if x.algebra is not target and x.algebra != target:
+                    raise ValueError("entry from a foreign Weyl algebra")
+                return x
+            return const(x) if x else zero
+
+        return self.map(entry)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -448,19 +477,6 @@ def det(m: Matrix):
     return rec(full, 0)
 
 
-def nilpotency_index(m: Matrix, max_power=None):
-    """Smallest k >= 1 with m^k = 0, or None if not nilpotent up to dim."""
-    if m.rows != m.cols:
-        raise ValueError("nilpotency of non-square matrix")
-    limit = max_power or m.rows + 1
-    p = m
-    for k in range(1, limit + 1):
-        if p.is_zero():
-            return k
-        p = p @ m
-    return None
-
-
 class NotNilpotentError(ValueError):
     """An exponential series that had to terminate did not."""
 
@@ -500,6 +516,14 @@ def nilpotent_exp(n: Matrix, t=None, cut=None) -> Matrix:
             f"(checked up to dimension {n.rows})"
         )
     raise NotNilpotentError("truncated exponential did not terminate; widen the caps")
+
+
+def dot(mats, coeffs, target) -> Matrix:
+    """sum_k mats[k].lift(target) * coeffs[k], for a nonempty ``mats``."""
+    out = mats[0].lift(target) * coeffs[0]
+    for mat, c in zip(mats[1:], coeffs[1:]):
+        out = out + mat.lift(target) * c
+    return out
 
 
 def evaluate_matrix(m: Matrix, assignment: dict) -> Matrix:

@@ -18,7 +18,6 @@ so equal rings built separately still mix and different rings still raise
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .scalars import GRat, ZERO, ONE, as_grat
@@ -59,7 +58,8 @@ class PolyRing:
         self.one = Poly(self, {self._zero_exp: ONE})
 
     def const(self, c) -> "Poly":
-        c = as_grat(c)
+        if type(c) is not GRat:
+            c = as_grat(c)
         return Poly(self, {self._zero_exp: c} if c else {})
 
     def sym(self, name: str, power: int = 1) -> "Poly":
@@ -245,17 +245,6 @@ class Poly:
             idx = [self.ring.index[n] for n in names]
         return max((sum(e[k] for k in idx) for e in self.terms), default=0)
 
-    def coefficient_of(self, name: str, power: int) -> "Poly":
-        """Coefficient of name**power, as a polynomial in the other symbols."""
-        k = self.ring.index[name]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[k] == power:
-                e2 = list(e)
-                e2[k] = 0
-                terms[tuple(e2)] = c
-        return Poly(self.ring, terms)
-
     def diff(self, name: str) -> "Poly":
         k = self.ring.index[name]
         terms = {}
@@ -352,37 +341,3 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def identity_check_sampled(lhs, rhs, trials=8, seed=0):
-    """Schwartz-Zippel identity mode for large expressions: evaluate both
-    sides at random rationals drawn from a 2^32-sized set.
-
-    Exact equality at each sample is proof at that point; the default
-    identity checks in this package compare canonical forms instead, and
-    this mode exists for intermediates too large for that.
-    """
-    import random
-
-    if isinstance(lhs, Poly):
-        lhs, rhs = [lhs], [rhs]
-        pairs = zip(lhs, rhs)
-        ring = lhs[0].ring
-    else:
-        pairs = list(zip(
-            (p for row in lhs.entries for p in row),
-            (p for row in rhs.entries for p in row),
-        ))
-        ring = next(p.ring for row in lhs.entries for p in row if isinstance(p, Poly))
-    pairs = list(pairs)
-    rng = random.Random(seed)
-    span = 1 << 16
-    for _ in range(trials):
-        point = {n: GRat(Fraction(rng.randint(-span, span), rng.randint(1, span)))
-                 for n in ring.names}
-        for a, b in pairs:
-            av = a.eval(point) if isinstance(a, Poly) else as_grat(a)
-            bv = b.eval(point) if isinstance(b, Poly) else as_grat(b)
-            if av != bv:
-                return False
-    return True

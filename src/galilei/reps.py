@@ -22,9 +22,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GRat, ZERO, I, UsageError
-from .matrix import Matrix, rank, nullspace, nilpotency_index, linear_kernel
-from .poly import PolyRing
+from .scalars import GRat, ZERO, HALF, I, UsageError
+from .matrix import Matrix, rank, nullspace, linear_kernel
 
 EPS = {
     (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -50,9 +49,9 @@ def k_row(a: int) -> Matrix:
     return Matrix([[I if c == a else ZERO for c in range(3)]])
 
 
-S1_SPIN = [Matrix([[ZERO, GRat(Fraction(1, 2))], [GRat(Fraction(1, 2)), ZERO]]),
-           Matrix([[ZERO, GRat(0, Fraction(-1, 2))], [GRat(0, Fraction(1, 2)), ZERO]]),
-           Matrix([[GRat(Fraction(1, 2)), ZERO], [ZERO, GRat(Fraction(-1, 2))]])]
+S1_SPIN = [Matrix([[ZERO, HALF], [HALF, ZERO]]),
+           Matrix([[ZERO, -HALF * I], [HALF * I, ZERO]]),
+           Matrix([[HALF, ZERO], [ZERO, -HALF]])]
 
 PAULI = [m * 2 for m in S1_SPIN]
 
@@ -240,26 +239,6 @@ def verify_hg(rep: Representation) -> dict:
             if not commutator(rep.eta[a], rep.eta[b]).is_zero():
                 bad.append(("eta,eta", a, b))
     return {"ok": not bad, "violations": bad}
-
-
-def eta_dot_symbolic(rep: Representation, names=("p1", "p2", "p3"), ring=None):
-    """eta . p with symbolic direction, as a Poly matrix."""
-    if ring is None:
-        ring = PolyRing(names)
-    out = Matrix.zeros(rep.dim, rep.dim, ring.zero)
-    for a in range(3):
-        pa = ring.sym(names[a])
-        out = out + rep.eta[a].map(lambda x: ring.const(x)) * pa
-    return out
-
-
-def rep_nilpotency_index(rep: Representation) -> int:
-    """Smallest k with (eta.p)^k = 0 identically in the direction p."""
-    m = eta_dot_symbolic(rep)
-    idx = nilpotency_index(m)
-    if idx is None:
-        raise ValueError("eta.p is not nilpotent")
-    return idx
 
 
 # -- brute-force rediscovery of Table 1 ----------------------------------------

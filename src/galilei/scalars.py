@@ -195,35 +195,7 @@ def as_grat(x) -> GRat:
     return z
 
 
-def parse_grat(text: str) -> GRat:
-    """Parse the scalar text form: "a/b", "a/b+c/d*i", "i", "-i", "2*i"."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise UsageError("empty scalar")
-    # split into real and imaginary chunks at a +/- that is not leading
-    chunks = []
-    start = 0
-    for k in range(1, len(s)):
-        if s[k] in "+-" and s[k - 1] not in "+-/*":
-            chunks.append(s[start:k])
-            start = k
-    chunks.append(s[start:])
-    re = Fraction(0)
-    im = Fraction(0)
-    for c in chunks:
-        if c in ("i", "+i"):
-            im += 1
-        elif c == "-i":
-            im -= 1
-        elif c.endswith("*i"):
-            im += Fraction(c[:-2])
-        elif c.endswith("i"):
-            im += Fraction(c[:-1])
-        else:
-            re += Fraction(c)
-    return GRat(re, im)
-
-
 ZERO = GRat(0)
 ONE = GRat(1)
 I = GRat(0, 1)
+HALF = GRat(Fraction(1, 2))

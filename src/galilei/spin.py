@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import GRat, ZERO, I
-from .matrix import Matrix, det, nullspace, rank, nilpotent_exp, evaluate_matrix
+from .matrix import Matrix, det, dot, nullspace, rank, nilpotent_exp, evaluate_matrix
 from .poly import PolyRing, Poly
 from .reps import Representation, eps
-from .beta import BetaSystem, _lift
+from .beta import BetaSystem
 
 
 # -- Casimir assembly -----------------------------------------------------------
@@ -43,10 +43,9 @@ def casimir_c3(rep: Representation, ring=None) -> Matrix:
         ring = casimir_ring()
     p = [ring.sym(f"p{a+1}") for a in range(3)]
     m = ring.sym("m")
-    lift = lambda mat: _lift(mat, ring)
     dim = rep.dim
-    S = [lift(s) for s in rep.S]
-    eta = [lift(e) for e in rep.eta]
+    S = [s.lift(ring) for s in rep.S]
+    eta = [e.lift(ring) for e in rep.eta]
     out = Matrix.zeros(dim, dim, ring.zero)
     s2 = Matrix.zeros(dim, dim, ring.zero)
     for a in range(3):
@@ -61,12 +60,11 @@ def casimir_c3(rep: Representation, ring=None) -> Matrix:
                     cross = cross + (S[a] @ eta[b] - eta[a] @ S[b]) * e
         out = out + cross * (m * p[c])
     eta2 = Matrix.zeros(dim, dim, ring.zero)
-    etap = Matrix.zeros(dim, dim, ring.zero)
     psq = ring.zero
     for a in range(3):
         eta2 = eta2 + eta[a] @ eta[a]
-        etap = etap + eta[a] * p[a]
         psq = psq + p[a] * p[a]
+    etap = dot(eta, p, ring)
     out = out + eta2 * psq - etap @ etap
     return out
 
@@ -78,17 +76,15 @@ def diagonalize_casimir(rep: Representation, ring=None) -> dict:
     p = [ring.sym(f"p{a+1}") for a in range(3)]
     minv = ring.sym("m", -1)
     m = ring.sym("m")
-    etap = Matrix.zeros(rep.dim, rep.dim, ring.zero)
-    for a in range(3):
-        etap = etap + _lift(rep.eta[a], ring) * (p[a] * minv)
+    etap = dot(rep.eta, [pa * minv for pa in p], ring)
     iu = ring.const(I)
     W = nilpotent_exp(etap * iu)
     Winv = nilpotent_exp(etap * (-iu))
     c3 = casimir_c3(rep, ring)
     c3p = W @ c3 @ Winv
     s2 = Matrix.zeros(rep.dim, rep.dim, ring.zero)
-    for a in range(3):
-        s2 = s2 + _lift(rep.S[a], ring) @ _lift(rep.S[a], ring)
+    for S in rep.S:
+        s2 = s2 + S.lift(ring) @ S.lift(ring)
     want = s2 * (m * m)
     return {"ok": c3p == want, "c3_transformed": c3p, "m2s2": want}
 
@@ -112,9 +108,6 @@ def c2_is_central(rep: Representation) -> bool:
     iden = Matrix.identity(dim, alg.one, alg.zero)
     c2m = iden * c2
 
-    def wlift(mat):
-        return mat.map(lambda g: alg.const(g))
-
     gens = [iden * p0, iden * p[0], iden * p[1], iden * p[2], iden * m]
     for a in range(3):
         orb = alg.zero
@@ -123,8 +116,8 @@ def c2_is_central(rep: Representation) -> bool:
                 e = eps(a, b, c)
                 if e:
                     orb = orb + x[b] * p[c] * e
-        gens.append(iden * orb + wlift(rep.S[a]))
-        gens.append(iden * (t * p[a] - m * x[a]) + wlift(rep.eta[a]))
+        gens.append(iden * orb + rep.S[a].lift(alg))
+        gens.append(iden * (t * p[a] - m * x[a]) + rep.eta[a].lift(alg))
     for g in gens:
         if not (c2m @ g - g @ c2m).is_zero():
             return False
@@ -214,7 +207,7 @@ def _pencil_roots(F: Matrix, Rb: Matrix):
         return set()
     ring = PolyRing(("e",))
     e = ring.sym("e")
-    pen = _lift(F, ring) * e + _lift(Rb, ring) * 2
+    pen = dot([F, Rb], [e, 2], ring)
     d = det(pen)
     if not d:
         return None
@@ -278,7 +271,7 @@ def _spinor_branches(bs):
     pencil drops rank, classified by S^2 on the kernel."""
     ring = PolyRing(("e",))
     e = ring.sym("e")
-    pen = _lift(bs.beta0, ring) * e + _lift(bs.beta4, ring) * 2
+    pen = dot([bs.beta0, bs.beta4], [e, 2], ring)
     d = det(pen)
     branches = []
     roots = _rational_roots(d, "e") if d else None
@@ -297,7 +290,7 @@ def _direct_branches(bs):
     # where det L = 0; epsilon = C2 = 2 p0 at the rest frame.
     ring = PolyRing(("q",))  # q = p0
     q = ring.sym("q")
-    L = _lift(bs.beta0, ring) * q + _lift(bs.beta4, ring)
+    L = bs.beta0.lift(ring) * q + bs.beta4.lift(ring)
     d = det(L)
     roots = _rational_roots(d, "q") if d else None
     branches = []

@@ -62,7 +62,7 @@ class WeylAlgebra:
             if c.ring is not self.params and c.ring != self.params:
                 raise ValueError("foreign coefficient ring")
             return c
-        return self.params.const(as_grat(c))
+        return self.params.const(c)
 
     def const(self, c) -> "WeylElement":
         c = self._coefficient(c)

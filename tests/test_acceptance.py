@@ -21,7 +21,7 @@ from galilei import catalog as cat
 from galilei import interaction
 from galilei import reps
 from galilei.appendix import reproduce_appendix
-from galilei.beta import _lift, assemble, solve_beta4_space, verify_conditions
+from galilei.beta import assemble, solve_beta4_space, verify_conditions
 from galilei.covariance import (
     find_lambda_space,
     finite_boost_covariance,
@@ -37,7 +37,7 @@ from galilei.interaction import (
     reduce_coupled,
     second_conjugation,
 )
-from galilei.matrix import Matrix, canonical_span, det, evaluate_matrix, nullspace
+from galilei.matrix import Matrix, canonical_span, det, dot, evaluate_matrix, nullspace
 from galilei.poly import Poly, PolyRing
 from galilei.reps import PAULI, spin1_matrix
 from galilei.scalars import GRat, ZERO
@@ -155,8 +155,8 @@ def _general_solution(label):
     E = Matrix.zeros(*space.e_shape, ring.zero)
     for k, (Rk, Ek) in enumerate(space.basis):
         c = ring.sym(f"c{k}")
-        R = R + _lift(Rk, ring) * c
-        E = E + _lift(Ek, ring) * c
+        R = R + Rk.lift(ring) * c
+        E = E + Ek.lift(ring) * c
     return assemble(label, R, E)
 
 
@@ -264,8 +264,8 @@ def test_criterion_07_interaction_reductions():
                      [h * xring.sym("x2") * (-HALF), h * xring.sym("x1") * HALF,
                       xring.zero])
     lring = PolyRing(("mu", "nuL"))
-    lam = (_lift(cat.levy_leblond().beta0, lring) * lring.sym("nuL")
-           + _lift(cat.ll_lambda_generator(), lring) * lring.sym("mu"))
+    lam = dot([cat.levy_leblond().beta0, cat.ll_lambda_generator()],
+              [lring.sym("nuL"), lring.sym("mu")], lring)
     co = couple_anomalous(cat.levy_leblond(), fc, lam, phys=(0, 1),
                           spin_phys=spin_phys)
     rep = reduce_coupled(co)

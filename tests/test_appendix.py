@@ -32,6 +32,12 @@ def test_reproduction_summary(reproduction):
     assert len(summary["amended_cells"]) <= 11
 
 
+def test_every_amendment_is_applied(reproduction):
+    # an entry of AMENDED_CELLS that no failing cell reaches is dead data
+    _, summary = reproduction
+    assert len(summary["amended_cells"]) == len(appendix.AMENDED_CELLS)
+
+
 def test_headline_cells_match_verbatim(reproduction):
     reports, _ = reproduction
     by_cell = {r["cell"]: r for r in reports}

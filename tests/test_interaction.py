@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from galilei import catalog as cat
-from galilei.beta import _lift
 from galilei.interaction import (
     couple_anomalous,
     couple_minimal,
@@ -14,7 +13,7 @@ from galilei.interaction import (
     reduce_coupled,
     second_conjugation,
 )
-from galilei.matrix import Matrix
+from galilei.matrix import Matrix, dot
 from galilei.poly import Poly, PolyRing
 from galilei.reps import PAULI, spin1_matrix
 from galilei.scalars import GRat, ZERO
@@ -59,8 +58,8 @@ def test_minimal_reduction_zero_field_matches_free():
 def test_anomalous_levy_leblond_couplings():
     params, xring, alg, fc = spinor_setting(("lam1", "lam2", "mu", "nuL"))
     lring = PolyRing(("mu", "nuL"))
-    lam = (_lift(cat.levy_leblond().beta0, lring) * lring.sym("nuL")
-           + _lift(cat.ll_lambda_generator(), lring) * lring.sym("mu"))
+    lam = dot([cat.levy_leblond().beta0, cat.ll_lambda_generator()],
+              [lring.sym("nuL"), lring.sym("mu")], lring)
     co = couple_anomalous(cat.levy_leblond(), fc, lam, phys=(0, 1), spin_phys=spin_half())
     rep = reduce_coupled(co)
     assert rep.residual.is_zero()

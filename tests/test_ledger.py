@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from galilei import catalog as cat
-from galilei.beta import _lift
 from galilei.cli import main
 from galilei.interaction import couple_anomalous, extract_g, make_setting, reduce_coupled
+from galilei.matrix import dot
 from galilei.poly import Poly, PolyRing
 from galilei.reps import PAULI, spin1_matrix
 from galilei.scalars import GRat
@@ -79,8 +79,8 @@ def _spinor_reduction(scale=1):
                      [h * xring.sym("x2") * (-HALF), h * xring.sym("x1") * HALF,
                       xring.zero])
     lring = PolyRing(("mu", "nuL"))
-    lam = (_lift(cat.levy_leblond().beta0, lring) * lring.sym("nuL")
-           + _lift(cat.ll_lambda_generator(), lring) * lring.sym("mu")) * GRat(scale)
+    lam = dot([cat.levy_leblond().beta0, cat.ll_lambda_generator()],
+              [lring.sym("nuL"), lring.sym("mu")], lring) * GRat(scale)
     co = couple_anomalous(cat.levy_leblond(), fc, lam, phys=(0, 1),
                           spin_phys=[s * HALF for s in PAULI])
     return alg, reduce_coupled(co)

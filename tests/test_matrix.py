@@ -10,6 +10,7 @@ from galilei.matrix import (
     _RowAbsorber,
     canonical_span,
     det,
+    dot,
     linear_kernel,
     NotNilpotentError,
     nilpotent_exp,
@@ -449,3 +450,79 @@ def test_rank_nullspace_det_against_sympy(case):
     assert all((m @ Matrix([[x] for x in v])).is_zero() for v in ours)
     sq = Matrix(_random_rows(rng, nr, nr))
     assert det(sq) == _from_sympy(sympy, sympy.expand(_to_sympy(sympy, sq).det()))
+
+
+# -- lifting into a coefficient ring and the matrix dot ----------------------------
+
+LIFT_RING = PolyRing(("y", "x"))
+
+
+def test_lift_grat_into_poly_ring():
+    out = Matrix([[GRat(Fraction(1, 2), 3), ONE]]).lift(LIFT_RING)
+    assert all(type(x) is Poly and x.ring is LIFT_RING for x in out.entries[0])
+    assert out == Matrix([[LIFT_RING.const(GRat(Fraction(1, 2), 3)), LIFT_RING.one]])
+
+
+def test_lift_poly_of_a_subring_into_a_larger_ring():
+    small = PolyRing(("x",))
+    out = Matrix([[small.sym("x") * 3 + 1]]).lift(LIFT_RING)
+    assert out[0, 0].ring is LIFT_RING
+    assert out[0, 0] == LIFT_RING.sym("x") * 3 + 1
+    kept = LIFT_RING.sym("y")
+    assert Matrix([[kept]]).lift(LIFT_RING)[0, 0] is kept
+
+
+def test_lift_rejects_a_missing_symbol():
+    other = PolyRing(("x", "z"))
+    with pytest.raises(ValueError):
+        Matrix([[other.sym("z")]]).lift(LIFT_RING)
+
+
+def test_lift_poly_into_weyl_algebra_through_params():
+    from galilei.weyl import WeylAlgebra
+
+    alg = WeylAlgebra(PolyRing(("m", "e")))
+    out = Matrix([[PolyRing(("e",)).sym("e") * 2, GRat(0, 1)]]).lift(alg)
+    assert out == Matrix([[alg.sym("e") * 2, alg.const(GRat(0, 1))]])
+    assert all(x.algebra is alg for x in out.entries[0])
+
+
+def test_lift_keeps_elements_of_the_algebra_and_rejects_foreign_ones():
+    from galilei.weyl import WeylAlgebra
+
+    alg = WeylAlgebra(PolyRing(("m",)))
+    w = alg.x(0) * alg.p(1)
+    assert Matrix([[w]]).lift(alg)[0, 0] is w
+    # an equal algebra built separately is the same algebra
+    assert Matrix([[w]]).lift(WeylAlgebra(PolyRing(("m",))))[0, 0] is w
+    with pytest.raises(ValueError):
+        Matrix([[WeylAlgebra(PolyRing(("q",))).x(0)]]).lift(alg)
+    with pytest.raises(ValueError):
+        Matrix([[w]]).lift(PolyRing(("m",)))
+
+
+def test_lift_sends_zeros_to_the_target_zero():
+    from galilei.weyl import WeylAlgebra
+
+    alg = WeylAlgebra(PolyRing(("m",)))
+    zeros = Matrix([[ZERO, PolyRing(("q",)).zero]])
+    for target in (LIFT_RING, alg):
+        out = zeros.lift(target)
+        assert out.shape == (1, 2)
+        assert all(x is target.zero for x in out.entries[0])
+
+
+def test_dot_equals_the_explicit_sum():
+    from galilei.weyl import WeylAlgebra
+
+    rng = random.Random(11)
+    mats = [Matrix(_random_rows(rng, 3, 3)) for _ in range(3)]
+    coeffs = [LIFT_RING.sym("x"), LIFT_RING.sym("y") * 2, LIFT_RING.const(GRat(0, 1))]
+    want = Matrix.zeros(3, 3, LIFT_RING.zero)
+    for m, c in zip(mats, coeffs):
+        want = want + m.lift(LIFT_RING) * c
+    assert dot(mats, coeffs, LIFT_RING) == want
+    alg = WeylAlgebra(PolyRing(("m",)))
+    ops = [alg.p(0), alg.x(1), alg.sym("m")]
+    explicit = mats[0].lift(alg) * ops[0] + mats[1].lift(alg) * ops[1] + mats[2].lift(alg) * ops[2]
+    assert dot(mats, ops, alg) == explicit

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from galilei.scalars import GRat, I, ONE, ZERO, parse_grat
+from galilei.scalars import GRat, I, ONE, ZERO
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -43,19 +43,6 @@ def test_field_axioms(a, b, c):
     assert a + (b + c) == (a + b) + c
     if b:
         assert (a / b) * b == a
-
-
-@given(grats)
-def test_text_roundtrip(z):
-    assert parse_grat(str(z)) == z
-
-
-def test_parse_forms():
-    assert parse_grat("3/4") == GRat(Fraction(3, 4))
-    assert parse_grat("1/2+2/3*i") == GRat(Fraction(1, 2), Fraction(2, 3))
-    assert parse_grat("-i") == -I
-    with pytest.raises(ZeroDivisionError):
-        parse_grat("3/0")
 
 
 # -- differential check against a (Fraction, Fraction) reference ---------------

@@ -203,31 +203,20 @@ def test_field_strength_electric_component_convention():
 
 def test_conjugation_preserves_products():
     # C(ab) = C(a) C(b) for the sandwich with matched inverse factors
-    from galilei.matrix import Matrix
-    from galilei.interaction import conjugate_by_nilpotent
+    from galilei.matrix import Matrix, dot, nilpotent_exp
     from galilei.reps import build, RepLabel
 
     rep = build(RepLabel("S2"))
-    exp_mat = Matrix.zeros(4, 4, ALG.zero)
-    for a in range(3):
-        exp_mat = exp_mat + rep.eta[a].map(lambda x: ALG.const(x)) * ALG.p(a)
+    exp_mat = dot(rep.eta, [ALG.p(a) for a in range(3)], ALG)
     exp_mat = exp_mat.map(lambda w: w * GRat(0, 1) * ALG.sym("m", -1))
     iden = Matrix.identity(4, ALG.one, ALG.zero)
-    A = iden * ALG.p0 + rep.S[2].map(lambda x: ALG.const(x)) * ALG.x(0)
-    B = iden * ALG.p(1) + rep.eta[0].map(lambda x: ALG.const(x)) * ALG.sym("m")
-    CA = conjugate_by_nilpotent(A, exp_mat)
-    CB = conjugate_by_nilpotent(B, exp_mat)
-    CAB = conjugate_by_nilpotent(A @ B, exp_mat)
+    A = iden * ALG.p0 + rep.S[2].lift(ALG) * ALG.x(0)
+    B = iden * ALG.p(1) + rep.eta[0].lift(ALG) * ALG.sym("m")
+    left, right = nilpotent_exp(exp_mat, t=-1), nilpotent_exp(exp_mat)
+    CA = left @ A @ right
+    CB = left @ B @ right
+    CAB = left @ (A @ B) @ right
     assert CAB == CA @ CB
-
-
-def test_schwartz_zippel_mode():
-    from galilei.poly import identity_check_sampled
-
-    r = PolyRing(("x", "y"))
-    x, y = r.sym("x"), r.sym("y")
-    assert identity_check_sampled((x + y) ** 2, x * x + x * y * 2 + y * y)
-    assert not identity_check_sampled((x + y) ** 2, x * x + y * y)
 
 
 # -- products checked by their action on polynomials ----------------------------
