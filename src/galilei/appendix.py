@@ -290,7 +290,7 @@ def _label_candidates(key):
     return cands
 
 
-def reproduce_appendix(include_amended=True):
+def reproduce_appendix():
     """Compare every printed cell with the computed solution space.
 
     Per cell the comparison tries the admissible readings: both
@@ -306,7 +306,7 @@ def reproduce_appendix(include_amended=True):
     spaces = {}  # (left, right) -> (SolutionSpace, span), for this call only
     for cell in CELLS:
         rep = _cell_report(cell, spaces)
-        if include_amended and not rep["span_match"]:
+        if not rep["span_match"]:
             key = (cell.table, cell.col, cell.row)
             if key in AMENDED_CELLS:
                 fixed = Cell(

@@ -34,11 +34,12 @@ from .matrix import (
 )
 from .poly import PolyRing, Poly
 from .reps import (
-    TABLE1,
     Representation,
-    spin1_matrix,
-    k_row,
+    boost_blocks,
     parse_label,
+    sector_sum,
+    spin1_matrix,
+    triple,
 )
 
 
@@ -58,17 +59,10 @@ class VectorCarrier:
         return 3 * self.N + self.M
 
     def S(self, a: int) -> Matrix:
-        sa = spin1_matrix(a)
-        top = Matrix.identity(self.N).kron(sa) if self.N else Matrix.zeros(0, 0)
-        return Matrix.direct_sum([top, Matrix.zeros(self.M, self.M)])
+        return sector_sum(Matrix.identity(self.N), spin1_matrix(a), Matrix.zeros(self.M, self.M))
 
     def eta(self, a: int) -> Matrix:
-        sa = spin1_matrix(a)
-        ka = k_row(a)
-        tl = self.A.kron(sa) if self.N else Matrix.zeros(0, 0)
-        tr = self.B.kron(ka.H) if (self.N and self.M) else Matrix.zeros(3 * self.N, self.M)
-        bl = self.C.kron(ka) if (self.N and self.M) else Matrix.zeros(self.M, 3 * self.N)
-        return Matrix.block([[tl, tr], [bl, Matrix.zeros(self.M, self.M)]])
+        return boost_blocks(self.A, self.B, self.C, a)
 
     def representation(self) -> Representation:
         return Representation(self.labels, [self.S(a) for a in range(3)],
@@ -81,23 +75,14 @@ def carrier_for(labels) -> VectorCarrier:
     labels = tuple(labels)
     if any(l.kind != "D" for l in labels):
         raise UsageError("vector/scalar labels only (spinor systems are closed-form)")
-    As, Bs, Cs = [], [], []
-    N = M = 0
-    for l in labels:
-        A, B, C = TABLE1[(l.n, l.m, l.lam)]
-        n, m = l.n, l.m
-        As.append(A if A is not None else Matrix.zeros(0, 0))
-        Bs.append(B if B is not None else Matrix.zeros(n, m))
-        Cs.append(C if C is not None else Matrix.zeros(m, n))
-        N += n
-        M += m
+    As, Bs, Cs = zip(*(triple(l) for l in labels))
     return VectorCarrier(
         labels,
         Matrix.direct_sum(As),
         Matrix.direct_sum(Bs),
         Matrix.direct_sum(Cs),
-        N,
-        M,
+        sum(l.n for l in labels),
+        sum(l.m for l in labels),
     )
 
 
@@ -115,19 +100,9 @@ def beta_from_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E, F, G, H, 
     if ring is not None:
         zero = ring.zero
         R, E, F, G, H, M, N = (b.lift(ring) for b in (R, E, F, G, H, M, N))
-    Nl, Ml, Nr, Mr = car_l.N, car_l.M, car_r.N, car_r.M
     i3 = Matrix.identity(3)
-    beta4 = Matrix.direct_sum([R.kron(i3), E])
-    beta0 = Matrix.direct_sum([F.kron(i3), G])
-    betas = []
-    for a in range(3):
-        ka = k_row(a)
-        tl = H.kron(spin1_matrix(a)) if Nl and Nr else Matrix.zeros(3 * Nl, 3 * Nr, zero)
-        tr = M.kron(ka.H) if Nl and Mr else Matrix.zeros(3 * Nl, Mr, zero)
-        bl = N.kron(ka) if Ml and Nr else Matrix.zeros(Ml, 3 * Nr, zero)
-        br = Matrix.zeros(Ml, Mr, zero)
-        betas.append(Matrix.block([[tl, tr], [bl, br]]) * I)
-    return beta0, betas, beta4
+    betas = [boost_blocks(H, M, N, a, zero) * I for a in range(3)]
+    return sector_sum(F, i3, G), betas, sector_sum(R, i3, E)
 
 
 def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):

@@ -121,15 +121,17 @@ class _FieldParser:
         return out
 
 
-def parse_field_expr(text: str, ring: PolyRing, degree_cap=2) -> Poly:
+def parse_field_expr(text: str, ring: PolyRing) -> Poly:
+    from .weyl import DEGREE_CAP
+
     poly = _FieldParser(text, ring).parse()
     deg = poly.total_degree(("x1", "x2", "x3"))
-    if deg > degree_cap:
+    if deg > DEGREE_CAP:
         for e, _ in poly.terms.items():
             names = ("x1", "x2", "x3")
-            if sum(e[ring.index[n]] for n in names) > degree_cap:
+            if sum(e[ring.index[n]] for n in names) > DEGREE_CAP:
                 mono = "*".join(f"{n}^{e[ring.index[n]]}" for n in names if e[ring.index[n]])
-                raise FieldExprError(f"degree cap {degree_cap} exceeded by {mono}", 0)
+                raise FieldExprError(f"degree cap {DEGREE_CAP} exceeded by {mono}", 0)
     return poly
 
 
@@ -219,21 +221,13 @@ def cmd_catalog(args) -> int:
 def _system_for_spin(name: str):
     from . import catalog as cat
 
-    if name == "levy_leblond":
-        return cat.levy_leblond()
-    if name == "D110":
-        return cat.system_D110()
-    if name == "D210":
-        return cat.system_D210()
-    if name == "D221":
-        return cat.system_D221()
+    if name not in cat.CATALOG_SYSTEMS:
+        raise UsageError(f"unknown system {name!r}")
     if name == "D311":
         from .spin import generic_instance
 
         return generic_instance(cat.system_D311(), {"nu": GRat(2)})
-    if name == "dkp_spin0":
-        return cat.dkp_spin0_system()
-    raise UsageError(f"unknown system {name!r}")
+    return cat.canonical(name)
 
 
 def cmd_spin(args) -> int:

@@ -127,10 +127,11 @@ def parse_label(text: str):
 class Representation:
     """Carrier with explicit S_a and eta_a matrices.
 
-    Basis order inside a vector/scalar carrier: all triplets first (in
-    label order), then all scalars; direct sums concatenate sector-wise
-    is NOT done -- summands are kept contiguous, which keeps their own
-    block structure intact.
+    A single vector/scalar label is laid out triplets first, then
+    scalars.  ``direct_sum`` keeps each summand contiguous, so every
+    summand keeps its own block structure; ``beta.carrier_for`` instead
+    lays a sum out sector-wise, all triplets of all summands first, then
+    all scalars.
     """
 
     labels: tuple
@@ -145,25 +146,35 @@ class Representation:
         return "+".join(str(l) for l in self.labels)
 
 
-def _abc_rep(A, B, C, n, m):
-    """S, eta from an (A, B, C) triple via the standard block pattern."""
-    dim = 3 * n + m
-    S = []
-    eta = []
-    for a in range(3):
-        sa = spin1_matrix(a)
-        ka = k_row(a)
-        S_blocks = Matrix.direct_sum(
-            [Matrix.identity(n).kron(sa) if n else Matrix.zeros(0, 0),
-             Matrix.zeros(m, m)]
-        )
-        S.append(S_blocks)
-        top_left = A.kron(sa) if n else Matrix.zeros(0, 0)
-        top_right = B.kron(ka.H) if (n and m) else Matrix.zeros(3 * n, m)
-        bot_left = C.kron(ka) if (n and m) else Matrix.zeros(m, 3 * n)
-        bot_right = Matrix.zeros(m, m)
-        eta.append(Matrix.block([[top_left, top_right], [bot_left, bot_right]]))
-    return Representation((RepLabel("D", n, m, 0),), S, eta)
+# -- the block layout of (A, B, C) carriers -------------------------------------
+
+
+def triple(label: RepLabel):
+    """(A, B, C) of a D label, with n x 0, 0 x n and 0 x 0 blocks where
+    Table 1 has none."""
+    A, B, C = TABLE1[(label.n, label.m, label.lam)]
+    n, m = label.n, label.m
+    return (A if A is not None else Matrix.zeros(0, 0),
+            B if B is not None else Matrix.zeros(n, m),
+            C if C is not None else Matrix.zeros(m, n))
+
+
+def sector_sum(X: Matrix, T: Matrix, Y: Matrix) -> Matrix:
+    """diag(X (x) T, Y): a triplet-sector block acting through T, a scalar one."""
+    return Matrix.direct_sum([X.kron(T), Y])
+
+
+def boost_blocks(X: Matrix, Y: Matrix, Z: Matrix, a: int, zero=ZERO) -> Matrix:
+    """[[X (x) s_a, Y (x) k_a^H], [Z (x) k_a, 0]], the block pattern of eta_a
+    for a triple (X, Y, Z) = (A, B, C) and of beta_a / i.
+
+    Empty blocks (no triplets or no scalars on a side) need no special
+    case: kron and block carry 0-row and 0-column shapes.  ``zero`` fills
+    the scalar-scalar block.
+    """
+    ka = k_row(a)
+    return Matrix.block([[X.kron(spin1_matrix(a)), Y.kron(ka.H)],
+                         [Z.kron(ka), Matrix.zeros(Z.rows, Y.cols, zero)]])
 
 
 def build(label: RepLabel) -> Representation:
@@ -182,21 +193,12 @@ def build(label: RepLabel) -> Representation:
             for sig in PAULI
         ]
         return Representation((label,), S, eta)
-    key = (label.n, label.m, label.lam)
-    if key not in TABLE1:
+    if (label.n, label.m, label.lam) not in TABLE1:
         raise ValueError(f"unknown label {label}")
-    A, B, C = TABLE1[key]
-    n, m = label.n, label.m
-    if n == 0:
-        rep = Representation(
-            (label,), [Matrix.zeros(m, m) for _ in range(3)], [Matrix.zeros(m, m) for _ in range(3)]
-        )
-        return rep
-    if m == 0:
-        rep = _abc_rep(A, Matrix.zeros(n, 0), Matrix.zeros(0, n), n, 0)
-    else:
-        rep = _abc_rep(A, B, C, n, m)
-    return Representation((label,), rep.S, rep.eta)
+    A, B, C = triple(label)
+    iden, zero_m = Matrix.identity(label.n), Matrix.zeros(label.m, label.m)
+    return Representation((label,), [sector_sum(iden, spin1_matrix(a), zero_m) for a in range(3)],
+                          [boost_blocks(A, B, C, a) for a in range(3)])
 
 
 def direct_sum(reps) -> Representation:
@@ -324,35 +326,15 @@ def _is_indecomposable(A, B, C, n, m) -> bool:
 
 
 def _signature(A, B, C, n, m):
-    def r(x):
-        return rank(x) if x is not None and x.rows and x.cols else 0
-
-    A2 = (A @ A) if n else None
-    AB = Matrix.block([[A, B]]) if (n and m) else A
-    AC = Matrix.block([[A], [C]]) if (n and m) else A
-    return (
-        n,
-        m,
-        r(A) if n else 0,
-        r(A2) if n else 0,
-        r(B) if (n and m) else 0,
-        r(C) if (n and m) else 0,
-        r(AB) if n else 0,
-        r(AC) if n else 0,
-    )
+    """The ranks of A, A^2, B, C, [A B] and [A; C] after the sizes (n, m);
+    a rank over an empty shape is 0."""
+    return (n, m, rank(A), rank(A @ A), rank(B), rank(C),
+            rank(Matrix.block([[A, B]])), rank(Matrix.block([[A], [C]])))
 
 
 def table1_signatures():
     """The ten invariant signatures computed from the embedded triples."""
-    sigs = set()
-    for (n, m, lam), (A, B, C) in TABLE1.items():
-        if n == 0:
-            sigs.add((0, m, 0, 0, 0, 0, 0, 0))
-        else:
-            B0 = B if B is not None else Matrix.zeros(n, 0)
-            C0 = C if C is not None else Matrix.zeros(0, n)
-            sigs.add(_signature(A, B0, C0, n, m))
-    return sigs
+    return {_signature(*triple(RepLabel("D", *key)), key[0], key[1]) for key in TABLE1}
 
 
 def _signed_permutations(n):

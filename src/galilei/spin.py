@@ -13,9 +13,11 @@ so plane-wave content is read off the sector pencils
     P_sc(e)  = e G + 2 E        (spin-0 components),
 
 in units m = 1 with the internal energy e the eigenvalue of C2; a
-branch exists where a pencil is singular.  The direct route (kernel of
-the wave operator at rest-frame momenta) is kept alongside as an
-independent oracle.
+branch exists where a pencil is singular.  One routine, ``_pencil``,
+finds the singular points of a pencil e A + c B and its kernels there.
+The direct route (kernel of the wave operator at rest-frame momenta) is
+kept alongside as a cross-check; for the spinor system it is the same
+pencil (see ``spin_content``), so there it is not an independent oracle.
 """
 
 from __future__ import annotations
@@ -199,108 +201,83 @@ def _rational_roots(poly: Poly, var: str):
     return roots
 
 
-def _pencil_roots(F: Matrix, Rb: Matrix):
-    """Values of e where e F + 2 R is singular (square blocks), with
-    None meaning identically singular."""
-    n = F.rows
-    if n == 0:
-        return set()
+def _pencil(A: Matrix, B: Matrix, c):
+    """Singular points of the pencil e A + c B (square blocks, rational A
+    and B): {root: kernel basis} over the rational roots of its
+    determinant in the order of their text, or None when the determinant
+    vanishes identically."""
+    if not A.rows:
+        return {}
     ring = PolyRing(("e",))
-    e = ring.sym("e")
-    pen = dot([F, Rb], [e, 2], ring)
+    pen = dot([A, B], [ring.sym("e"), c], ring)
     d = det(pen)
     if not d:
         return None
-    return _rational_roots(d, "e")
+    return {r: nullspace(evaluate_matrix(pen, {"e": r}))
+            for r in sorted(_rational_roots(d, "e"), key=str)}
 
 
-def _pencil_kernel_dim(F: Matrix, Rb: Matrix, e_val: GRat) -> int:
-    pen = F * e_val + Rb * GRat(2)
-    return len(nullspace(pen))
+def _require_numeric(bs):
+    """ValueError naming the free parameters of a system with symbolic entries."""
+    free = sorted({x.ring.names[k] for mat in (bs.beta0, *bs.betas, bs.beta4)
+                   for row in mat.entries for x in row if isinstance(x, Poly)
+                   for e in x.terms for k, p in enumerate(e) if p})
+    if free:
+        raise ValueError(f"system {bs.name} has free parameters {', '.join(free)}; "
+                         "substitute rational values with spin.generic_instance first")
 
 
-def spin_content(bs, name=None) -> SpinContentReport:
+def spin_content(bs) -> SpinContentReport:
     """Plane-wave content of a block system (vector/scalar carriers or the
-    four-component spinor system).
+    four-component spinor system), whose entries must be rational.
 
     Pencil route: roots of det(eF + 2R) give spin-1 branches (each
     multiplet contributes 2s+1 = 3 states), roots of det(eG + 2E) give
     spin-0 branches; identically singular pencils are reported as
-    gauge-like branches with no particle content.  Direct route:
-    kernel of beta0 p0 + beta4 m at the rest frame, classified by S^2.
+    gauge-like branches with no particle content.  The spinor system has
+    no sector blocks: its pencil is beta0 e + 2 beta4 (m = 1), classified
+    by S^2 on the kernel.  Direct route: kernel of beta0 p0 + beta4 m at
+    the rest frame, classified by S^2.
+
+    The two routes are not independent for the spinor: beta0 e + 2 beta4
+    is twice beta0 q + beta4 at e = 2q, and both are classified by S^2,
+    so ``two_route_equal`` holds there by construction.  On a block
+    system beta0 and beta4 are block diagonal, so the direct route solves
+    the same sector pencils on the full carrier; what it adds is the spin
+    read from S^2 instead of from the sector.
     """
-    name = name or getattr(bs, "name", "system")
+    _require_numeric(bs)
     notes = []
     blocks = getattr(bs, "blocks", None)
     if blocks and "R" in blocks:
-        Rb, E, F, G = blocks["R"], blocks["E"], blocks["F"], blocks["G"]
+        vec = _pencil(blocks["F"], blocks["R"], 2)
+        sc = _pencil(blocks["G"], blocks["E"], 2)
         branches = []
-        v_roots = _pencil_roots(F, Rb)
-        if v_roots is None:
-            notes.append("vector pencil identically singular: no particle content branch")
-            v_roots = set()
-        for r in sorted(v_roots, key=str):
-            k = _pencil_kernel_dim(F, Rb, r)
-            if k:
-                branches.append(Branch(Fraction(1), r, 3 * k))
-        s_roots = _pencil_roots(G, E)
-        if s_roots is None:
-            notes.append("scalar pencil identically singular: no particle content branch")
-            s_roots = set()
-        for r in sorted(s_roots, key=str):
-            k = _pencil_kernel_dim(G, E, r)
-            if k:
-                branches.append(Branch(Fraction(0), r, k))
+        for kind, spin, states, roots in (("vector", Fraction(1), 3, vec),
+                                          ("scalar", Fraction(0), 1, sc)):
+            if roots is None:
+                notes.append(f"{kind} pencil identically singular: no particle content branch")
+                continue
+            branches += [Branch(spin, r, states * len(ker)) for r, ker in roots.items()]
+        c1 = _particle_conditions(blocks, 1, vec)
+        c0 = _particle_conditions(blocks, 0, sc)
     else:
-        # spinor system: single sector, beta0/beta4 blocks directly
-        branches = _spinor_branches(bs)
-    direct = _direct_branches(bs)
+        branches = _branches(bs.rep, _pencil(bs.beta0, bs.beta4, 2), 1)
+        c1 = c0 = False
+    # the direct route's root is p0 = q, with epsilon = 2 q at the rest frame
+    direct = _branches(bs.rep, _pencil(bs.beta0, bs.beta4, 1), 2)
     two_route = _branch_set(branches) == _branch_set(direct)
-    c1 = check_particle_conditions(bs, 1) if blocks and "R" in blocks else False
-    c0 = check_particle_conditions(bs, 0) if blocks and "R" in blocks else False
-    return SpinContentReport(name, branches, c1, c0, two_route, tuple(notes))
+    return SpinContentReport(bs.name, branches, c1, c0, two_route, tuple(notes))
 
 
 def _branch_set(branches):
     return {(b.spin, b.epsilon, b.multiplicity) for b in branches}
 
 
-def _spinor_branches(bs):
-    """Pencil route for the four-component spinor system: the transformed
-    operator is beta0 C2 + 2 m^2 beta4 (m = 1); branch where the 4x4
-    pencil drops rank, classified by S^2 on the kernel."""
-    ring = PolyRing(("e",))
-    e = ring.sym("e")
-    pen = dot([bs.beta0, bs.beta4], [e, 2], ring)
-    d = det(pen)
-    branches = []
-    roots = _rational_roots(d, "e") if d else None
-    if roots is None:
-        return branches
-    for r in sorted(roots, key=str):
-        ker = nullspace(evaluate_matrix(pen, {"e": r}))
-        if ker:
-            branches.extend(_classify_by_spin(bs.rep, ker, r))
-    return branches
-
-
-def _direct_branches(bs):
-    """Kernel of beta0 p0 + beta4 m at rest momenta, m = 1; epsilon = 2 p0."""
-    # the operator is linear in p0: L(p0) = beta0 p0 + beta4; kernel exists
-    # where det L = 0; epsilon = C2 = 2 p0 at the rest frame.
-    ring = PolyRing(("q",))  # q = p0
-    q = ring.sym("q")
-    L = bs.beta0.lift(ring) * q + bs.beta4.lift(ring)
-    d = det(L)
-    roots = _rational_roots(d, "q") if d else None
-    branches = []
-    if roots is None:
-        return branches
-    for r in sorted(roots, key=str):
-        ker = nullspace(evaluate_matrix(L, {"q": r}))
-        if ker:
-            branches.extend(_classify_by_spin(bs.rep, ker, r * 2))
-    return branches
+def _branches(rep: Representation, roots, scale):
+    """The S^2-classified branches of a full-carrier pencil, at epsilon =
+    scale * root; none when it is identically singular."""
+    return [b for r, ker in (roots or {}).items() for b in _classify_by_spin(rep, ker, r * scale)]
 
 
 def _classify_by_spin(rep: Representation, kernel_vectors, epsilon):
@@ -331,24 +308,22 @@ def check_particle_conditions(bs, spin: int) -> bool:
         spin 1: rank(eF + 2R) = n - 1 and rank(eG + 2E) = m
         spin 0: rank(eF + 2R) = n and rank(eG + 2E) = m - 1
 
-    evaluated at each branch energy of the requested spin (generic
-    rational parameter values are substituted first if needed).
+    evaluated at each root of the requested spin's pencil; false when
+    there is none.  The entries must be rational: a system with free
+    parameters is a ValueError (substitute with ``generic_instance``).
     """
-    blocks = bs.blocks
-    Rb, E, F, G = blocks["R"], blocks["E"], blocks["F"], blocks["G"]
-    n, m = Rb.rows, E.rows
-    roots = _pencil_roots(F, Rb) if spin == 1 else _pencil_roots(G, E)
-    if roots is None or not roots:
-        return False
-    for e_val in roots:
-        pv = F * e_val + Rb * GRat(2)
-        ps = G * e_val + E * GRat(2)
-        rv, rs = rank(pv), rank(ps)
-        if spin == 1 and (rv != n - 1 or rs != m):
-            return False
-        if spin == 0 and (rv != n or rs != m - 1):
-            return False
-    return True
+    _require_numeric(bs)
+    b = bs.blocks
+    roots = _pencil(b["F"], b["R"], 2) if spin == 1 else _pencil(b["G"], b["E"], 2)
+    return _particle_conditions(b, spin, roots)
+
+
+def _particle_conditions(blocks, spin: int, roots) -> bool:
+    """The rank conditions, given the requested spin's pencil roots: a
+    one-dimensional kernel there, and the other sector's pencil regular."""
+    A, B = (blocks["G"], blocks["E"]) if spin == 1 else (blocks["F"], blocks["R"])
+    return bool(roots) and all(len(ker) == 1 and rank(A * e + B * GRat(2)) == A.rows
+                               for e, ker in roots.items())
 
 
 def generic_instance(bs: BetaSystem, values: dict) -> BetaSystem:

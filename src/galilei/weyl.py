@@ -90,11 +90,11 @@ class WeylAlgebra:
     def t(self) -> "WeylElement":
         return self._gen(T_SLOT)
 
-    def from_x_poly(self, poly: Poly, xnames=("x1", "x2", "x3")) -> "WeylElement":
-        """Lift a commutative polynomial in x (and params) to an operator."""
+    def from_x_poly(self, poly: Poly) -> "WeylElement":
+        """Lift a commutative polynomial in x1, x2, x3 (and params) to an operator."""
         out = self.zero
         ring = poly.ring
-        xidx = [ring.index.get(nm) for nm in xnames]
+        xidx = [ring.index.get(nm) for nm in ("x1", "x2", "x3")]
         for e, c in poly.terms.items():
             key = [0] * NSLOTS
             rest = list(e)
@@ -338,35 +338,31 @@ class WeylElement:
 # -- external fields -----------------------------------------------------------
 
 
+DEGREE_CAP = 2  # largest total x-degree of an external potential
+
+
 class FieldConfig:
-    """Static external potentials A0(x), A(x) of polynomial degree <= cap.
+    """Static external potentials A0(x), A(x) of polynomial degree <= DEGREE_CAP.
 
     Derived fields: E_a = -dA0/dx_a (static), H = curl A.  With the
     degree cap at 2 both are polynomials of degree <= 1, so div E and
-    dE_a/dx_b are constants.  mode "magnetic" is the (A0, A, 0) shape;
-    mode "electric" keeps (0, A, A4) with A4 entering no pi component
-    used here (p4 -> m - e*A4 is carried for completeness).
+    dE_a/dx_b are constants.  pi^4 is the uncoupled mass m.
     """
 
-    def __init__(self, alg: WeylAlgebra, a0: Poly, avec, a4=None, degree_cap: int = 2,
-                 mode: str = "magnetic"):
+    def __init__(self, alg: WeylAlgebra, a0: Poly, avec):
         self.algebra = alg
-        self.mode = mode
         xnames = ("x1", "x2", "x3")
         for nm, poly in [("A0", a0)] + [(f"A{i+1}", p) for i, p in enumerate(avec)]:
-            if poly.total_degree(xnames) > degree_cap:
-                raise ValueError(f"{nm} exceeds degree cap {degree_cap}")
+            if poly.total_degree(xnames) > DEGREE_CAP:
+                raise ValueError(f"{nm} exceeds degree cap {DEGREE_CAP}")
         self.a0 = a0
         self.avec = list(avec)
-        self.a4 = a4 if a4 is not None else a0.ring.zero
-        if self.a4.total_degree(xnames) > degree_cap:
-            raise ValueError(f"A4 exceeds degree cap {degree_cap}")
 
     def amplitude_symbols(self):
         """Names of parameter symbols appearing in the potentials."""
         out = []
         xnames = {"x1", "x2", "x3"}
-        for poly in [self.a0, *self.avec, self.a4]:
+        for poly in [self.a0, *self.avec]:
             for e in poly.terms:
                 for k, p in enumerate(e):
                     nm = poly.ring.names[k]
@@ -411,10 +407,7 @@ class FieldConfig:
         if 1 <= index <= 3:
             return alg.p(index - 1) - e * alg.from_x_poly(self.avec[index - 1])
         if index == 4:
-            m = alg.sym("m")
-            if self.mode == "electric" and self.a4:
-                return m - e * alg.from_x_poly(self.a4)
-            return m
+            return alg.sym("m")
         raise ValueError("pi index must be 0..4")
 
     def pis(self):

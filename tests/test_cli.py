@@ -168,6 +168,8 @@ def test_unknown_verb_usage(capsys):
      "--lambda2 does not apply"),
     (["reduce", "--system", "levy_leblond", "--mu-coupling", "2"],
      "--mu-coupling does not apply"),
+    (["spin", "--system", "gamma_hat"], "unknown system"),
+    (["covariance", "--system", "proca"], "unknown system"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

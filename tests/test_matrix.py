@@ -526,3 +526,22 @@ def test_dot_equals_the_explicit_sum():
     ops = [alg.p(0), alg.x(1), alg.sym("m")]
     explicit = mats[0].lift(alg) * ops[0] + mats[1].lift(alg) * ops[1] + mats[2].lift(alg) * ops[2]
     assert dot(mats, ops, alg) == explicit
+
+
+def test_kron_block_direct_sum_on_empty_shapes():
+    m23, m13 = Matrix(_random_rows(random.Random(5), 2, 3)), Matrix([[ONE, I, ZERO]])
+    for left, right, shape in (
+        (Matrix.zeros(2, 0), m23, (4, 0)),
+        (Matrix.zeros(0, 2), m13, (0, 6)),
+        (m23, Matrix.zeros(3, 0), (6, 0)),
+        (m23, Matrix.zeros(0, 2), (0, 6)),
+    ):
+        assert left.kron(right).shape == shape
+    assert Matrix.block([[Matrix.zeros(2, 0), m23],
+                         [Matrix.zeros(0, 0), Matrix.zeros(0, 3)]]) == m23
+    assert Matrix.block([[Matrix.zeros(0, 1), Matrix.zeros(0, 2)],
+                         [Matrix([[I]]), Matrix([[ONE, ZERO]])]]) == Matrix([[I, ONE, ZERO]])
+    assert Matrix.block([[Matrix.zeros(0, 2), Matrix.zeros(0, 3)]]).shape == (0, 5)
+    assert Matrix.direct_sum([Matrix.zeros(2, 0), Matrix.zeros(0, 3)]) == Matrix.zeros(2, 3)
+    assert Matrix.direct_sum([Matrix.zeros(0, 0), m23]) == m23
+    assert Matrix.direct_sum([Matrix.zeros(0, 2), m13]).shape == (1, 5)

@@ -272,3 +272,12 @@ def test_classify_bruteforce_loops_over_classify_pair(monkeypatch):
     monkeypatch.setattr(reps, "_classify_pair", spy)
     reps.classify_bruteforce(pairs=[(1, 1), (2, 0)])
     assert seen == [(1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("key", sorted(reps.TABLE1))
+def test_build_matches_the_sector_wise_carrier(key):
+    from galilei.beta import carrier_for
+
+    label = reps.RepLabel("D", *key)
+    rep, car = reps.build(label), carrier_for([label]).representation()
+    assert (rep.S, rep.eta) == (car.S, car.eta)

@@ -109,6 +109,12 @@ def test_particle_conditions():
     assert not check_particle_conditions(cat.system_D110(), 1)
 
 
+def test_symbolic_system_is_refused_with_its_free_parameters():
+    for check in (spin_content, lambda bs: check_particle_conditions(bs, 1)):
+        with pytest.raises(ValueError, match=r"free parameters nu; .*generic_instance"):
+            check(cat.system_D311())
+
+
 def test_multiplicity_bounded_by_dimension():
     for bs in (cat.system_D110(), cat.system_D210(), cat.system_D221(),
                cat.levy_leblond()):

@@ -177,7 +177,6 @@ def test_degree_cap():
     cubic = xr.sym("x1") * xr.sym("x2") * xr.sym("x3")
     with pytest.raises(ValueError):
         FieldConfig(ALG, cubic, [xr.zero] * 3)
-    FieldConfig(ALG, cubic, [xr.zero] * 3, degree_cap=3)
 
 
 def test_truncate():
