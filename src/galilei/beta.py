@@ -193,6 +193,14 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
 # -- beta systems on a single carrier --------------------------------------------
 
 
+def free_symbols(bs) -> tuple:
+    """The sorted names of the symbols that the entries of a system's beta0,
+    beta_a and beta4 use; empty on a rational system."""
+    return tuple(sorted({x.ring.names[k] for mat in (bs.beta0, *bs.betas, bs.beta4)
+                         for row in mat.entries for x in row if isinstance(x, Poly)
+                         for e in x.terms for k, p in enumerate(e) if p}))
+
+
 @dataclass
 class BetaSystem:
     """A full set of beta matrices on one carrier."""
@@ -202,9 +210,10 @@ class BetaSystem:
     beta0: Matrix
     betas: list
     beta4: Matrix
-    params: tuple = ()
     carrier: VectorCarrier = None
     blocks: dict = field(default_factory=dict)
+
+    params = property(free_symbols, doc="The free parameters: the symbols the entries use.")
 
     @property
     def dim(self):
@@ -216,7 +225,7 @@ class BetaSystem:
                    [ring.sym(n) for n in (*momenta, mass)], ring)
 
 
-def assemble(carrier, R: Matrix, E: Matrix, name="system", params=()) -> BetaSystem:
+def assemble(carrier, R: Matrix, E: Matrix, name="system") -> BetaSystem:
     """Build the full beta system for (R, E) on a self-pair carrier and
     verify the invariance conditions identically before returning."""
     if isinstance(carrier, str):
@@ -225,8 +234,7 @@ def assemble(carrier, R: Matrix, E: Matrix, name="system", params=()) -> BetaSys
     ring = next((x.ring for mat in (R, E) for row in mat.entries for x in row
                  if isinstance(x, Poly)), None)
     beta0, betas, beta4 = beta_from_blocks(carrier, carrier, R, E, F, G, H, M, N, ring=ring)
-    bs = BetaSystem(name, carrier.representation(), beta0, betas, beta4,
-                    params=tuple(params), carrier=carrier,
+    bs = BetaSystem(name, carrier.representation(), beta0, betas, beta4, carrier=carrier,
                     blocks={"R": R, "E": E, "F": F, "G": G, "H": H, "M": M, "N": N})
     rep = verify_conditions(bs)
     if not rep["ok"]:
@@ -298,5 +306,5 @@ def normalize_equivalence(bs: BetaSystem) -> dict:
         if k:
             notes.append("kappa is removable by the phase exp(i kappa m t), flagged only")
     out = BetaSystem(bs.name + "+normalized", bs.rep, b0, bas, b4,
-                     params=bs.params, carrier=bs.carrier, blocks=bs.blocks)
+                     carrier=bs.carrier, blocks=bs.blocks)
     return {"system": out, "transform": W, "notes": notes}

@@ -111,8 +111,7 @@ def levy_leblond(kappa=ZERO, omega=ZERO, ring=None) -> BetaSystem:
         beta0, beta4 = beta0.lift(ring), beta4.lift(ring)
         betas = [b.lift(ring) for b in betas]
     rep = build(RepLabel("S2"))
-    return BetaSystem("levy_leblond", rep, beta0, betas, beta4,
-                      params=tuple(p for p in ("kappa", "omega") if ring))
+    return BetaSystem("levy_leblond", rep, beta0, betas, beta4)
 
 
 def ll_lambda_generator() -> Matrix:
@@ -155,7 +154,7 @@ def system_D311(nu=None, ring=None) -> BetaSystem:
     z, o = ring.zero, ring.one
     R = Matrix([[z, z, nu], [z, nu, o], [nu, o, z]])
     E = Matrix([[-nu]])
-    return assemble("D(3,1,1)", R, E, name="D311", params=("nu",))
+    return assemble("D(3,1,1)", R, E, name="D311")
 
 
 def _e6(i, j):

@@ -129,7 +129,7 @@ def finite_boost_covariance(bs, symbolic=True, samples=0, seed=0) -> dict:
     symbolic: full identity in (v, p) and any system parameters;
     otherwise seeded rational samples of (v, p).
     """
-    extra = tuple(getattr(bs, "params", ()) or ())
+    extra = getattr(bs, "params", ())
     ring = boost_ring(extra)
     T = group_element(bs.rep, ring)
     mats = [bs.beta0, *bs.betas, bs.beta4]

@@ -179,7 +179,7 @@ class Matrix:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        acc = self.entries[0][0]
+        acc = self.entries[0][0] if self.rows else ZERO  # the empty sum
         for k in range(1, self.rows):
             acc = acc + self.entries[k][k]
         return acc

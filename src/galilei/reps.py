@@ -21,6 +21,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .scalars import GRat, ZERO, HALF, I, UsageError
 from .matrix import Matrix, rank, nullspace, linear_kernel
@@ -224,20 +225,15 @@ def verify_hg(rep: Representation) -> dict:
     bad = []
     for a in range(3):
         for b in range(3):
-            want = Matrix.zeros(rep.dim, rep.dim)
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    want = want + rep.S[c] * (I * e)
-            if commutator(rep.S[a], rep.S[b]) != want:
-                bad.append(("S,S", a, b))
-            want_eta = Matrix.zeros(rep.dim, rep.dim)
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    want_eta = want_eta + rep.eta[c] * (I * e)
-            if commutator(rep.eta[a], rep.S[b]) != want_eta:
-                bad.append(("eta,S", a, b))
+            # [S_a, S_b] = i eps_abc S_c and [eta_a, S_b] = i eps_abc eta_c
+            for kind, gens in (("S,S", rep.S), ("eta,S", rep.eta)):
+                want = Matrix.zeros(rep.dim, rep.dim)
+                for c in range(3):
+                    e = eps(a, b, c)
+                    if e:
+                        want = want + gens[c] * (I * e)
+                if commutator(gens[a], rep.S[b]) != want:
+                    bad.append((kind, a, b))
             if not commutator(rep.eta[a], rep.eta[b]).is_zero():
                 bad.append(("eta,eta", a, b))
     return {"ok": not bad, "violations": bad}
@@ -280,8 +276,6 @@ def _abc_equations(A, m):
 
 def _abc_ok(A, B, C, n, m):
     """Whether the Matrix triple satisfies the consistency equations."""
-    if not n:
-        return True
     on_b, on_c, on_pair = _abc_equations(tuple(map(tuple, A.entries)), m)
     B, C = tuple(map(tuple, B.entries)), tuple(map(tuple, C.entries))
     return on_b(B) and on_c(C) and on_pair(B, C)
@@ -310,17 +304,7 @@ def _is_indecomposable(A, B, C, n, m) -> bool:
 
     # Gram matrix of the trace form tr(xy) on End (as matrices acting on
     # the carrier pair); its kernel is the radical in char 0.
-    gram = []
-    for X1, Y1 in mats:
-        row = []
-        for X2, Y2 in mats:
-            t = ZERO
-            if n:
-                t = t + (X1 @ X2).trace()
-            if m:
-                t = t + (Y1 @ Y2).trace()
-            row.append(t)
-        gram.append(row)
+    gram = [[(X1 @ X2).trace() + (Y1 @ Y2).trace() for X2, Y2 in mats] for X1, Y1 in mats]
     rad_dim = len(nullspace(Matrix(gram)))
     return dim_e - rad_dim == 1
 
@@ -368,54 +352,55 @@ def _int_matrices(rows, cols):
             for flat in itertools.product((-1, 0, 1), repeat=rows * cols)]
 
 
+def _partitions(n, most=3):
+    """The partitions of n into parts of at most ``most``, largest first."""
+    if not n:
+        yield ()
+    for k in range(min(n, most), 0, -1):
+        yield from ((k, *rest) for rest in _partitions(n - k, k))
+
+
+def _jordan(parts):
+    """The nilpotent Jordan matrix with blocks of these sizes, as row tuples:
+    a 1 at (i, i - 1) wherever row i does not start a block."""
+    starts = set(itertools.accumulate(parts, initial=0))
+    n = sum(parts)
+    return tuple(tuple(int(j == i - 1 and i not in starts) for j in range(n)) for i in range(n))
+
+
 def _as_matrix(x, cols):
     return Matrix([[GRat(v) for v in row] for row in x], cols=cols)
 
 
-Funnel = namedtuple("Funnel", "enumerated nilpotent classes consistent tested")
-Funnel.__doc__ = """How far the candidates of one (n, m) pair got: A enumerated, A
-with A^3 = 0, A left after skipping signed-permutation conjugates,
-consistent triples on those A, and indecomposability tests run."""
+Funnel = namedtuple("Funnel", "types consistent tested")
+Funnel.__doc__ = """How far the candidates of one (n, m) pair got: Jordan types of A,
+consistent triples on them, and indecomposability tests run."""
 
 
 def _classify_pair(n, m):
-    """The signatures of the indecomposable triples over {-1, 0, 1} for one
-    (n, m) pair, and the pair's Funnel.
+    """The signatures of the indecomposable triples with A in Jordan form and
+    B, C over {-1, 0, 1} for one (n, m) pair, and the pair's Funnel.
 
-    Three prunes, each sound because a signed permutation maps {-1, 0, 1}
-    to itself and conjugation gives an isomorphic module, whose signature
-    and indecomposability are the same:
-    - AB = 0 and A^2 + BC = 0 give A^3 = -ABC = 0, so any other A is dropped
-      before its B and C are built;
-    - an A conjugate to an A already processed is skipped, since
-      (XAX^-1, B, C) is the conjugate of (A, X^-1 B, C X);
-    - a triple in the orbit of a triple already tested is skipped.
-    Decomposability is never cached by signature: signatures are not known
-    to separate isomorphism classes.
+    AB = 0 and A^2 + BC = 0 give A^3 = -ABC = 0, so over the rationals
+    X A X^-1 is a nilpotent Jordan matrix, blocks of size <= 3, for some
+    invertible X, and (X A X^-1, X B, C X^-1) is an isomorphic triple: one
+    A per partition of n into parts <= 3 loses no module.  The search
+    still assumes that B and C then have entries in {-1, 0, 1}.
+
+    One prune: a triple in the orbit (X B Y^-1, Y C X^-1), X a signed
+    permutation fixing A and Y any signed permutation, of a tested triple
+    is skipped; it is an isomorphic module over {-1, 0, 1}.  Nothing is
+    cached by signature: signatures are not known to separate isomorphism
+    classes.
     """
-    if n == 0:
-        # no matrices at all; the scalar module is indecomposable iff m == 1
-        return ({(0, 1, 0, 0, 0, 0, 0, 0)} if m == 1 else set()), Funnel(0, 0, 0, 0, 0)
     xs, ys = _signed_permutations(n), _signed_permutations(m)
     all_b, all_c = _int_matrices(n, m), _int_matrices(m, n)
-    found, seen_a = set(), set()
-    enumerated = nilpotent = classes = consistent = tested = 0
-    for A in _int_matrices(n, n):
-        enumerated += 1
-        # a nilpotent A has trace 0, a cheaper test to run first
-        if sum(A[i][i] for i in range(n)) or not _is_zero(_mul(_mul(A, A), A)):
-            continue
-        nilpotent += 1
-        if A in seen_a:
-            continue
-        classes += 1
+    found = set()
+    types = consistent = tested = 0
+    for A in map(_jordan, _partitions(n)):
+        types += 1
         # X A X^-1 = A for X in the stabiliser, so it maps triples on A to triples on A
-        stabiliser = []
-        for X in xs:
-            XA = _permute(A, X, X)
-            seen_a.add(XA)
-            if XA == A:
-                stabiliser.append(X)
+        stabiliser = [X for X in xs if _permute(A, X, X) == A]
         seen = set()
         on_b, on_c, on_pair = _abc_equations(A, m)
         cs = [C for C in all_c if on_c(C)]
@@ -435,17 +420,23 @@ def _classify_pair(n, m):
                 seen |= _conjugates(B, C, stabiliser, ys)
                 if _is_indecomposable(*lifted, n, m):
                     found.add(sig)
-    return found, Funnel(enumerated, nilpotent, classes, consistent, tested)
+    return found, Funnel(types, consistent, tested)
 
 
-def classify_bruteforce(pairs=None, max_cells=200_000_000):
-    """Enumerate (A,B,C) solutions of the consistency equations with
-    entries in {-1, 0, 1}, keep the indecomposable ones, and group them by
+# 3^(n^2 + 2nm) triples over {-1, 0, 1} bound the candidates; 2^(n+m) n! m! signed
+# permutations (X, Y) bound each tested triple's orbit, and alone stop (0, m) pairs.
+MAX_CELLS = 200_000_000
+MAX_PERMUTATIONS = 10_000
+
+
+def classify_bruteforce(pairs=None):
+    """Search each (n,m) pair for the indecomposable triples (A, B, C) of the
+    consistency equations (see ``_classify_pair``), and group them by
     invariant signature.
 
     Returns the sorted list of signatures found.  Every pair is checked
-    before any is enumerated: each must be two sizes n, m >= 0 within
-    ``max_cells``, else UsageError.
+    before any is searched: each must be two sizes n, m >= 0 within
+    ``MAX_CELLS`` and ``MAX_PERMUTATIONS``, else UsageError.
     """
     if pairs is None:
         pairs = TABLE1_PAIRS
@@ -455,11 +446,15 @@ def classify_bruteforce(pairs=None, max_cells=200_000_000):
             raise UsageError(f"(n,m) pair {p} is not two sizes n, m >= 0")
         n, m = p
         cells = 3 ** (n * n + 2 * n * m)
-        if cells > max_cells:
+        if cells > MAX_CELLS:
             raise UsageError(
                 f"enumeration for (n,m)=({n},{m}) needs {cells} cells "
-                f"(limit {max_cells})"
+                f"(limit {MAX_CELLS})"
             )
+        perms = 2 ** (n + m) * factorial(n) * factorial(m)
+        if perms > MAX_PERMUTATIONS:
+            raise UsageError(f"orbit prune for (n,m)=({n},{m}) needs {perms} signed "
+                             f"permutation pairs (limit {MAX_PERMUTATIONS})")
     found = set()
     for (n, m) in pairs:
         found |= _classify_pair(n, m)[0]

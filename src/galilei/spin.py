@@ -29,7 +29,7 @@ from .scalars import GRat, ZERO, I
 from .matrix import Matrix, det, dot, nullspace, rank, nilpotent_exp, evaluate_matrix
 from .poly import PolyRing, Poly
 from .reps import Representation, eps
-from .beta import BetaSystem
+from .beta import BetaSystem, free_symbols
 
 
 # -- Casimir assembly -----------------------------------------------------------
@@ -219,9 +219,7 @@ def _pencil(A: Matrix, B: Matrix, c):
 
 def _require_numeric(bs):
     """ValueError naming the free parameters of a system with symbolic entries."""
-    free = sorted({x.ring.names[k] for mat in (bs.beta0, *bs.betas, bs.beta4)
-                   for row in mat.entries for x in row if isinstance(x, Poly)
-                   for e in x.terms for k, p in enumerate(e) if p})
+    free = free_symbols(bs)
     if free:
         raise ValueError(f"system {bs.name} has free parameters {', '.join(free)}; "
                          "substitute rational values with spin.generic_instance first")
@@ -310,10 +308,14 @@ def check_particle_conditions(bs, spin: int) -> bool:
 
     evaluated at each root of the requested spin's pencil; false when
     there is none.  The entries must be rational: a system with free
-    parameters is a ValueError (substitute with ``generic_instance``).
+    parameters is a ValueError (substitute with ``generic_instance``), and
+    so is one with no F, R, G, E sector blocks, such as the spinor system.
     """
     _require_numeric(bs)
     b = bs.blocks
+    if not b:
+        raise ValueError(f"system {bs.name} has no sector blocks; "
+                         "the rank conditions need its F, R, G and E blocks")
     roots = _pencil(b["F"], b["R"], 2) if spin == 1 else _pencil(b["G"], b["E"], 2)
     return _particle_conditions(b, spin, roots)
 
@@ -335,4 +337,4 @@ def generic_instance(bs: BetaSystem, values: dict) -> BetaSystem:
 
     blocks = {k: sub(v) for k, v in bs.blocks.items()} if bs.blocks else {}
     return BetaSystem(bs.name, bs.rep, sub(bs.beta0), [sub(b) for b in bs.betas],
-                      sub(bs.beta4), params=(), carrier=bs.carrier, blocks=blocks)
+                      sub(bs.beta4), carrier=bs.carrier, blocks=blocks)

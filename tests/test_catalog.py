@@ -68,6 +68,15 @@ def test_levy_leblond_conditions():
     )["ok"]
 
 
+def test_params_are_the_symbols_the_entries_use():
+    assert cat.system_D311().params == ("nu",)
+    assert cat.system_D311(nu=GRat(2)).params == ()
+    # the ring names kappa and omega, but the entries hold the numeric defaults
+    assert cat.levy_leblond(ring=PolyRing(("kappa", "omega"))).params == ()
+    ring = PolyRing(("kappa", "omega"))
+    assert cat.levy_leblond(omega=ring.sym("omega"), ring=ring).params == ("omega",)
+
+
 def test_vector_systems_conditions():
     for f in (cat.system_D110, cat.system_D210, cat.system_D221, cat.system_D311):
         assert verify_conditions(f())["ok"]

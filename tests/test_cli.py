@@ -170,6 +170,7 @@ def test_unknown_verb_usage(capsys):
      "--mu-coupling does not apply"),
     (["spin", "--system", "gamma_hat"], "unknown system"),
     (["covariance", "--system", "proca"], "unknown system"),
+    (["classify", "--pairs=1,1;0,12"], "needs 1961990553600 signed permutation pairs"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

@@ -545,3 +545,4 @@ def test_kron_block_direct_sum_on_empty_shapes():
     assert Matrix.direct_sum([Matrix.zeros(2, 0), Matrix.zeros(0, 3)]) == Matrix.zeros(2, 3)
     assert Matrix.direct_sum([Matrix.zeros(0, 0), m23]) == m23
     assert Matrix.direct_sum([Matrix.zeros(0, 2), m13]).shape == (1, 5)
+    assert Matrix.zeros(0, 0).trace() == ZERO

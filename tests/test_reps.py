@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from galilei.matrix import Matrix, dot
+from galilei.matrix import Matrix, dot, rank
 from galilei.poly import PolyRing
-from galilei.scalars import GRat, ONE
+from galilei.scalars import GRat, ONE, UsageError
 from galilei import reps
 
 
@@ -123,7 +123,11 @@ def test_classification_small_pairs():
 
 def test_enumeration_guard():
     with pytest.raises(ValueError):
-        reps.classify_bruteforce(pairs=[(3, 2)], max_cells=1000)
+        reps.classify_bruteforce(pairs=[(3, 2)])  # 3^21 cells
+    # a single candidate triple, but 2^12 12! signed permutations in its orbit
+    with pytest.raises(UsageError, match="signed permutation pairs"):
+        reps.classify_bruteforce(pairs=[(0, 12)])
+    assert reps.classify_bruteforce(pairs=[(0, 5)]) == []
 
 
 def test_table1_kept_by_endo_filter():
@@ -231,17 +235,16 @@ def test_permute_is_conjugation_by_signed_permutation_matrices():
                 assert Matrix.from_rational_rows(reps._permute(M, X, Y)) == want
 
 
-# per pair: A enumerated, A with A^3 = 0, A left after skipping conjugates,
-# consistent triples on those A, indecomposability tests run
+# per pair: Jordan types of A, consistent triples on them, indecomposability tests run
 FUNNELS = {
-    (0, 1): (0, 0, 0, 0, 0),
-    (1, 0): (3, 1, 1, 1, 1),
-    (1, 1): (3, 1, 1, 5, 3),
-    (1, 2): (3, 1, 1, 33, 6),
-    (2, 0): (81, 9, 3, 3, 2),
-    (2, 1): (81, 9, 3, 27, 9),
-    (2, 2): (81, 9, 3, 483, 38),
-    (3, 1): (19683, 481, 23, 179, 52),
+    (0, 1): (1, 1, 1),
+    (1, 0): (1, 1, 1),
+    (1, 1): (1, 5, 3),
+    (1, 2): (1, 33, 6),
+    (2, 0): (2, 2, 2),
+    (2, 1): (2, 22, 8),
+    (2, 2): (2, 450, 33),
+    (3, 1): (3, 72, 15),
 }
 
 
@@ -252,13 +255,22 @@ def test_classify_funnel_per_pair():
         assert sigs == {s for s in reps.table1_signatures() if s[:2] == pair}, pair
 
 
-def test_nilpotent_count_2x2_by_matrix_powers():
-    # the A^3 = 0 prune keeps 9 of the 81 2x2 matrices over {-1, 0, 1}
-    kept = 0
-    for flat in itertools.product((-1, 0, 1), repeat=4):
-        A = Matrix.from_rational_rows([flat[:2], flat[2:]])
-        kept += (A @ A @ A).is_zero()
-    assert kept == FUNNELS[(2, 2)][1] == 9
+def test_jordan_types_are_the_nilpotent_classes():
+    # one A per partition of n into parts <= 3: 1, 2, 3, 4 types for n = 1..4,
+    # each with A^3 = 0 and told apart by (rank A, rank A^2)
+    for n, count in ((0, 1), (1, 1), (2, 2), (3, 3), (4, 4)):
+        ranks = set()
+        for parts in reps._partitions(n):
+            A = reps._as_matrix(reps._jordan(parts), n)
+            assert (A @ A @ A).is_zero(), parts
+            ranks.add((rank(A), rank(A @ A)))
+        assert len(ranks) == count, n
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (3, 0), (4, 0), (1, 3), (4, 1)])
+def test_no_indecomposable_on_adjacent_pairs(pair):
+    # the pairs next to Table 1 hold no indecomposable triple (B, C over {-1, 0, 1})
+    assert reps._classify_pair(*pair)[0] == set()
 
 
 def test_classify_bruteforce_loops_over_classify_pair(monkeypatch):

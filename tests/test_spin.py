@@ -115,6 +115,11 @@ def test_symbolic_system_is_refused_with_its_free_parameters():
             check(cat.system_D311())
 
 
+def test_particle_conditions_refuse_a_system_without_sector_blocks():
+    with pytest.raises(ValueError, match=r"levy_leblond has no sector blocks; .*F, R, G and E"):
+        check_particle_conditions(cat.levy_leblond(), 1)
+
+
 def test_multiplicity_bounded_by_dimension():
     for bs in (cat.system_D110(), cat.system_D210(), cat.system_D221(),
                cat.levy_leblond()):
