@@ -17,6 +17,21 @@ nullspace computation.  Rather than trusting any printed closed-form
 reduction, the solver builds the residuals from the actual carrier
 matrices and solves; the derived-block formulas are then read off the
 solution (and are also exposed directly for assembly).
+
+The solver imposes only the a = 0 component of each family: the first
+and third at a = 0 and the second at (a, b) = (0, b), b = 0, 1, 2.  The
+rest follow by rotation covariance.  For X mapping the right carrier
+into the left one write [S_c, X] for S_c X - X S_c', with S and S' the
+left and right carrier's rotations.  The identities
+[s_c, s_a] = i eps_cad s_d, s_c k_a^H = i eps_cad k_d^H and
+-k_a s_c = i eps_cad k_d make eta_a (and so eta_a^H, as S is hermitian)
+and beta_a a vector operator, [S_c, V_a] = i eps_cad V_d, whatever A,
+B, C and H, M, N are, and beta0, beta4 commute with S whatever F, G,
+R, E are.  So the first and third residuals are vectors and the second
+is a rank-2 tensor T_ab.  A vector with V_0 = 0 has, from c = 1, 2,
+V_2 = V_1 = 0; a tensor with T_0b = 0 for every b has T_2b = T_1b = 0
+the same way.  The five imposed residuals therefore cut out the same
+space as all fifteen; ``verify_conditions`` still checks all fifteen.
 """
 
 from __future__ import annotations
@@ -89,9 +104,8 @@ def carrier_for(labels) -> VectorCarrier:
 # -- block assembly -------------------------------------------------------------
 
 
-def beta_from_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E, F, G, H, M, N,
-                     ring=None):
-    """The five beta blocks mapping the right carrier into the left one.
+def beta_from_blocks(R, E, F, G, H, M, N, ring=None):
+    """beta0, the three beta_a / i and beta4 built from the multiplet blocks.
 
     Entries may be GRat or Poly; with Poly blocks pass the ring, and every
     block is lifted into it.
@@ -101,8 +115,8 @@ def beta_from_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E, F, G, H, 
         zero = ring.zero
         R, E, F, G, H, M, N = (b.lift(ring) for b in (R, E, F, G, H, M, N))
     i3 = Matrix.identity(3)
-    betas = [boost_blocks(H, M, N, a, zero) * I for a in range(3)]
-    return sector_sum(F, i3, G), betas, sector_sum(R, i3, E)
+    return (sector_sum(F, i3, G), [boost_blocks(H, M, N, a, zero) for a in range(3)],
+            sector_sum(R, i3, E))
 
 
 def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
@@ -154,6 +168,11 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     Cross pairs are unconstrained by hermiticity (the mirror cell is
     the adjoint) and default to the plain solve; asking for hermiticity
     on a cross pair is a ValueError.
+
+    Only the a = 0 component of each condition family is imposed, five
+    residuals instead of fifteen; rotation covariance makes the rest
+    vanish with them (module docstring).  The second family is imposed
+    divided by i, on beta_b / i, which has the same solutions.
     """
     car_l = carrier_for(left) if not isinstance(left, VectorCarrier) else left
     car_r = carrier_for(right) if not isinstance(right, VectorCarrier) else right
@@ -164,18 +183,14 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
         pair = " x ".join("+".join(map(str, c.labels)) for c in (car_l, car_r))
         raise ValueError(f"hermiticity constrains self pairs only; got {pair}")
     r_shape, e_shape = (car_l.N, car_r.N), (car_l.M, car_r.M)
-    etas_l_h = [car_l.eta(a).H for a in range(3)]
-    etas_r = [car_r.eta(a) for a in range(3)]
+    eta_l_h, eta_r = car_l.eta(0).H, car_r.eta(0)
 
     def apply(R, E, F, G, H, M, N):
-        beta0, betas, beta4 = beta_from_blocks(car_l, car_r, R, E, F, G, H, M, N)
-        out = []
-        for a in range(3):
-            out.append(etas_l_h[a] @ beta4 - beta4 @ etas_r[a] + betas[a] * I)
-            out.append(etas_l_h[a] @ beta0 - beta0 @ etas_r[a])
-            for b in range(3):
-                resid = etas_l_h[a] @ betas[b] - betas[b] @ etas_r[a]
-                out.append(resid + beta0 * I if a == b else resid)
+        beta0, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N)
+        out = [eta_l_h @ beta4 - beta4 @ eta_r - b_over_i[0],
+               eta_l_h @ beta0 - beta0 @ eta_r,
+               eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
+        out += [eta_l_h @ b - b @ eta_r for b in b_over_i[1:]]
         if hermitian:
             # real-parameter hermiticity: R, E, F, G symmetric; H antisymmetric;
             # N = -M^T (blocks are real, so dagger = transpose)
@@ -233,7 +248,8 @@ def assemble(carrier, R: Matrix, E: Matrix, name="system") -> BetaSystem:
     H, M, N, F, G = derived_blocks(carrier, carrier, R, E)
     ring = next((x.ring for mat in (R, E) for row in mat.entries for x in row
                  if isinstance(x, Poly)), None)
-    beta0, betas, beta4 = beta_from_blocks(carrier, carrier, R, E, F, G, H, M, N, ring=ring)
+    beta0, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N, ring=ring)
+    betas = [b * I for b in b_over_i]
     bs = BetaSystem(name, carrier.representation(), beta0, betas, beta4, carrier=carrier,
                     blocks={"R": R, "E": E, "F": F, "G": G, "H": H, "M": M, "N": N})
     rep = verify_conditions(bs)

@@ -423,9 +423,11 @@ def _classify_pair(n, m):
     return found, Funnel(types, consistent, tested)
 
 
-# 3^(n^2 + 2nm) triples over {-1, 0, 1} bound the candidates; 2^(n+m) n! m! signed
-# permutations (X, Y) bound each tested triple's orbit, and alone stop (0, m) pairs.
-MAX_CELLS = 200_000_000
+# (Jordan types of n) 3^(2nm) pairs (B, C) over {-1, 0, 1} bound the candidates;
+# on 2 vCPU (2,3) has 1.06M cells and takes 2.5 s, (3,2) 1.59M and 3.3 s, and
+# (4,2), 172M, does not finish in 90 s.  2^(n+m) n! m! signed permutations
+# (X, Y) bound each tested triple's orbit, and alone stop (0, m) pairs.
+MAX_CELLS = 2_000_000
 MAX_PERMUTATIONS = 10_000
 
 
@@ -445,10 +447,10 @@ def classify_bruteforce(pairs=None):
         if len(p) != 2 or min(p) < 0:
             raise UsageError(f"(n,m) pair {p} is not two sizes n, m >= 0")
         n, m = p
-        cells = 3 ** (n * n + 2 * n * m)
+        cells = len(list(_partitions(n))) * 3 ** (2 * n * m)
         if cells > MAX_CELLS:
             raise UsageError(
-                f"enumeration for (n,m)=({n},{m}) needs {cells} cells "
+                f"search for (n,m)=({n},{m}) needs {cells} cells "
                 f"(limit {MAX_CELLS})"
             )
         perms = 2 ** (n + m) * factorial(n) * factorial(m)

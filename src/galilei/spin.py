@@ -201,6 +201,13 @@ def _rational_roots(poly: Poly, var: str):
     return roots
 
 
+def _pencil_det(A: Matrix, B: Matrix, c):
+    """The pencil e A + c B over PolyRing(("e",)) and its determinant."""
+    ring = PolyRing(("e",))
+    pen = dot([A, B], [ring.sym("e"), c], ring)
+    return pen, det(pen)
+
+
 def _pencil(A: Matrix, B: Matrix, c):
     """Singular points of the pencil e A + c B (square blocks, rational A
     and B): {root: kernel basis} over the rational roots of its
@@ -208,9 +215,7 @@ def _pencil(A: Matrix, B: Matrix, c):
     vanishes identically."""
     if not A.rows:
         return {}
-    ring = PolyRing(("e",))
-    pen = dot([A, B], [ring.sym("e"), c], ring)
-    d = det(pen)
+    pen, d = _pencil_det(A, B, c)
     if not d:
         return None
     return {r: nullspace(evaluate_matrix(pen, {"e": r}))
@@ -243,6 +248,11 @@ def spin_content(bs) -> SpinContentReport:
     system beta0 and beta4 are block diagonal, so the direct route solves
     the same sector pencils on the full carrier; what it adds is the spin
     read from S^2 instead of from the sector.
+
+    Only rational energies are found.  When both routes find none but
+    det(beta0 e + 2 beta4) has positive degree in e, states at other
+    energies were missed: ``two_route_equal`` is then false and a note
+    names the degree.
     """
     _require_numeric(bs)
     notes = []
@@ -265,6 +275,12 @@ def spin_content(bs) -> SpinContentReport:
     # the direct route's root is p0 = q, with epsilon = 2 q at the rest frame
     direct = _branches(bs.rep, _pencil(bs.beta0, bs.beta4, 1), 2)
     two_route = _branch_set(branches) == _branch_set(direct)
+    if not branches and not direct:
+        degree = _pencil_det(bs.beta0, bs.beta4, 2)[1].degree_in("e")
+        if degree > 0:
+            two_route = False
+            notes.append(f"det(beta0 e + 2 beta4) has degree {degree} in e but neither "
+                         "route found a rational energy: its states are not listed")
     return SpinContentReport(bs.name, branches, c1, c0, two_route, tuple(notes))
 
 

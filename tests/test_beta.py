@@ -1,16 +1,22 @@
+import random
+
 import pytest
 
 from fractions import Fraction
 
 from galilei.beta import (
+    VectorCarrier,
     assemble,
+    beta_from_blocks,
     carrier_for,
+    derived_blocks,
     normalize_equivalence,
     solve_beta4_space,
     verify_conditions,
 )
 from galilei.matrix import Matrix
 from galilei.poly import PolyRing
+from galilei.reps import TABLE1, eps, verify_hg
 from galilei.scalars import GRat, I, ONE, ZERO
 from galilei import catalog as cat
 
@@ -26,6 +32,63 @@ def test_solution_space_dims():
     # the (2,1,0) diagonal: 4 before hermitisation, 3 after (E tied to R22)
     assert solve_beta4_space("D(2,1,0)", "D(2,1,0)", hermitian=False).dim == 4
     assert solve_beta4_space("D(2,1,0)", "D(2,1,0)").dim == 3
+
+
+def _random_matrix(rng, rows, cols):
+    return Matrix([[GRat(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)],
+                  cols=cols)
+
+
+def test_blocks_make_rotation_tensors_whatever_their_values():
+    # the premise of the five-residual solve: for any blocks, eta_a and
+    # beta_a / i are vector operators and beta0, beta4 commute with S, so
+    # each condition family is a rotation vector or tensor
+    rng = random.Random(15)
+    n, m = 2, 1
+    left = VectorCarrier((), _random_matrix(rng, n, n), _random_matrix(rng, n, m),
+                         _random_matrix(rng, m, n), n, m)
+    # a random triple is outside hg(1,3) ([eta_a, eta_b] != 0), yet every
+    # rotation commutator of verify_hg holds
+    bad = verify_hg(left.representation())["violations"]
+    assert bad and all(kind == "eta,eta" for kind, *_ in bad)
+    right = carrier_for("D(2,2,1)")
+    rn, rm = right.N, right.M
+    shapes = [(n, rn), (m, rm), (n, rn), (m, rm), (n, rn), (n, rm), (m, rn)]
+    beta0, b_over_i, beta4 = beta_from_blocks(*(_random_matrix(rng, *s) for s in shapes))
+    for c in range(3):
+        S_l, S_r = left.S(c), right.S(c)
+        assert S_l @ beta0 == beta0 @ S_r and S_l @ beta4 == beta4 @ S_r
+        for a in range(3):
+            want = Matrix.zeros(left.dim, right.dim)
+            for d in range(3):
+                if eps(c, a, d):
+                    want = want + b_over_i[d] * (I * eps(c, a, d))
+            assert S_l @ b_over_i[a] - b_over_i[a] @ S_r == want
+
+
+def test_solutions_satisfy_all_fifteen_condition_families():
+    # the solve imposes five residuals; a subset of the equations can only
+    # enlarge the space, so every basis vector meeting all fifteen shows it
+    # is no larger
+    labels = [f"D({n},{m},{lam})" for n, m, lam in sorted(TABLE1)]
+    cases = [(a, b, None) for a in labels for b in labels] + [(a, a, False) for a in labels]
+    for left, right, hermitian in cases:
+        car_l, car_r = carrier_for(left), carrier_for(right)
+        etas_l_h = [car_l.eta(a).H for a in range(3)]
+        etas_r = [car_r.eta(a) for a in range(3)]
+        for R, E in solve_beta4_space(left, right, hermitian=hermitian).basis:
+            H, M, N, F, G = derived_blocks(car_l, car_r, R, E)
+            beta0, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N)
+            betas = [b * I for b in b_over_i]
+            for a in range(3):
+                where = (left, right, hermitian, a)
+                assert (etas_l_h[a] @ beta4 - beta4 @ etas_r[a] + betas[a] * I).is_zero(), where
+                assert (etas_l_h[a] @ beta0 - beta0 @ etas_r[a]).is_zero(), where
+                for b in range(3):
+                    resid = etas_l_h[a] @ betas[b] - betas[b] @ etas_r[a]
+                    if a == b:
+                        resid = resid + beta0 * I
+                    assert resid.is_zero(), (*where, b)
 
 
 def test_hermitian_cross_pair_is_rejected():

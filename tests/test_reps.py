@@ -123,7 +123,9 @@ def test_classification_small_pairs():
 
 def test_enumeration_guard():
     with pytest.raises(ValueError):
-        reps.classify_bruteforce(pairs=[(3, 2)])  # 3^21 cells
+        reps.classify_bruteforce(pairs=[(4, 2)])  # 4 Jordan types x 3^16 cells
+    # the guard counts the Jordan-type search, not 3^(n^2+2nm) plain triples
+    assert reps.classify_bruteforce(pairs=[(4, 1), (5, 0)]) == []
     # a single candidate triple, but 2^12 12! signed permutations in its orbit
     with pytest.raises(UsageError, match="signed permutation pairs"):
         reps.classify_bruteforce(pairs=[(0, 12)])

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from galilei import catalog as cat
 from galilei import reps
+from galilei.beta import assemble, solve_beta4_space
 from galilei.matrix import Matrix
 from galilei.poly import PolyRing
 from galilei.scalars import GRat, ZERO
@@ -93,6 +95,22 @@ def test_spin_content_catalog():
     got, rep = _branches(cat.dkp_spin0_system())
     assert got == {("0", "1", 1)}          # epsilon = c^2 with c = 1
     assert rep.two_route_equal
+
+
+def test_unfound_energies_are_not_reported_as_agreement():
+    # generic hermitian points of D(1,1,0)+D(1,1,0): det(beta0 e + 2 beta4)
+    # has degree 2 in e and no rational root, so both routes are empty
+    label = "D(1,1,0)+D(1,1,0)"
+    basis = solve_beta4_space(label, label).basis
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        coeffs = [GRat(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in basis]
+        R, E = basis[0][0] * coeffs[0], basis[0][1] * coeffs[0]
+        for (Rk, Ek), c in zip(basis[1:], coeffs[1:]):
+            R, E = R + Rk * c, E + Ek * c
+        rep = spin_content(assemble(label, R, E))
+        assert rep.branches == [] and not rep.two_route_equal
+        assert any("degree 2 in e" in note for note in rep.notes), rep.notes
 
 
 def test_particle_conditions():
