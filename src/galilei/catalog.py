@@ -147,7 +147,13 @@ def system_D221() -> BetaSystem:
 
 
 def system_D311(nu=None, ring=None) -> BetaSystem:
-    """The ten-dimensional system with arbitrary nonzero parameter nu."""
+    """The ten-dimensional system with arbitrary nonzero parameter nu.
+
+    A zero nu makes both sector pencils vanish identically, so it is
+    refused, like c = 0 in ``dkp_spin0_system``.
+    """
+    if nu is not None and not nu:
+        raise UsageError("the ten-dimensional system needs nu != 0; nu = 0 rejected")
     if ring is None:
         ring = PolyRing(("nu",), invertible=("nu",))
     nu = nu if nu is not None else ring.sym("nu")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .scalars import GRat, ONE, HALF, I
 from .matrix import Matrix, dot, nilpotent_exp, linear_kernel
 from .poly import PolyRing
-from .reps import Representation, eps
+from .reps import Representation, cross
 
 
 def boost_ring(extra=()) -> PolyRing:
@@ -189,8 +189,7 @@ def pauli_term_invariance(rep: Representation, L: Matrix) -> dict:
     v = [ring.sym(f"v{a+1}") for a in range(3)]
     E = [ring.sym(f"E{a+1}") for a in range(3)]
     H = [ring.sym(f"H{a+1}") for a in range(3)]
-    Ep = [E[a] - sum((v[b] * H[c] * eps(a, b, c) for b in range(3) for c in range(3)),
-                     ring.zero) for a in range(3)]
+    Ep = [e - vh for e, vh in zip(E, cross(v, H))]
     etav = dot(rep.eta, v, ring)
     iu = ring.const(I)
     U = nilpotent_exp(etav * iu)

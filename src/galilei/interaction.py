@@ -21,7 +21,7 @@ from .scalars import GRat, HALF, I, UsageError
 from .matrix import Matrix, NotNilpotentError, dot, nilpotent_exp
 from .poly import PolyRing, Poly
 from .weyl import WeylAlgebra, WeylElement, FieldConfig
-from .reps import Representation, eps
+from .reps import Representation, cross
 
 # the order in which _split peels the named structures off the operator
 FIT_ORDER = ("(s.H)^2", "H^2", "E^2", "Q.dE", "Q.dH", "ss.dE", "ss.dH",
@@ -177,16 +177,6 @@ def term_structures(co: CoupledOperator) -> dict:
     eops = [alg.from_x_poly(p) for p in fields["E"]]
     hops = [alg.from_x_poly(p) for p in fields["H"]]
     pis = co.fc.pis()[1:4]
-
-    def cross(u, v):
-        out = [alg.zero] * 3
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    s = eps(a, b, c)
-                    if s:
-                        out[a] = out[a] + u[b] * v[c] * s
-        return out
 
     def s_dot_curl(ops):
         """s.(pi x F - F x pi)"""

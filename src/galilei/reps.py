@@ -36,6 +36,11 @@ def eps(a, b, c) -> int:
     return EPS.get((a, b, c), 0)
 
 
+def cross(u, v, mul=operator.mul) -> list:
+    """(u x v)_a = mul(u_b, v_c) - mul(u_c, v_b) over cyclic (a, b, c)."""
+    return [mul(u[b], v[c]) - mul(u[c], v[b]) for b, c in ((1, 2), (2, 0), (0, 1))]
+
+
 def spin1_matrix(a: int) -> Matrix:
     """(s_a)_bc = -i eps_abc, the spin-1 matrices with [s_a,s_b] = i eps_abc s_c.
 

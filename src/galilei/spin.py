@@ -15,20 +15,28 @@ so plane-wave content is read off the sector pencils
 in units m = 1 with the internal energy e the eigenvalue of C2; a
 branch exists where a pencil is singular.  One routine, ``_pencil``,
 finds the singular points of a pencil e A + c B and its kernels there.
-The direct route (kernel of the wave operator at rest-frame momenta) is
-kept alongside as a cross-check; for the spinor system it is the same
-pencil (see ``spin_content``), so there it is not an independent oracle.
+
+Galilei invariance makes det L, L = beta0 p0 + beta_a p_a + beta4 m, a
+polynomial f(u) in u = 2 m p0 - p^2 alone (Levy-Leblond, Commun. Math.
+Phys. 6 (1967)), the dispersion law (``dispersion``).  Then f(u) is its
+value at p = 0, the determinant of the same rest-frame pencil, so the
+identity f = lc(f) prod (u - epsilon)^mult is no second derivation of the
+branches: it checks that each energy's state count is its multiplicity
+in f and that every root is a listed rational one.  beta_a enters only
+through the guard that no p is left in det L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import matmul
 
-from .scalars import GRat, ZERO, I
+from .scalars import GRat, ZERO, HALF, I
 from .matrix import Matrix, det, dot, nullspace, rank, nilpotent_exp, evaluate_matrix
 from .poly import PolyRing, Poly
-from .reps import Representation, eps
+from .reps import Representation, cross
 from .beta import BetaSystem, free_symbols
 
 
@@ -53,14 +61,8 @@ def casimir_c3(rep: Representation, ring=None) -> Matrix:
     for a in range(3):
         s2 = s2 + S[a] @ S[a]
     out = out + s2 * (m * m)
-    for c in range(3):
-        cross = Matrix.zeros(dim, dim, ring.zero)
-        for a in range(3):
-            for b in range(3):
-                e = eps(c, a, b)
-                if e:
-                    cross = cross + (S[a] @ eta[b] - eta[a] @ S[b]) * e
-        out = out + cross * (m * p[c])
+    for c, (se, es) in enumerate(zip(cross(S, eta, matmul), cross(eta, S, matmul))):
+        out = out + (se - es) * (m * p[c])
     eta2 = Matrix.zeros(dim, dim, ring.zero)
     psq = ring.zero
     for a in range(3):
@@ -111,13 +113,7 @@ def c2_is_central(rep: Representation) -> bool:
     c2m = iden * c2
 
     gens = [iden * p0, iden * p[0], iden * p[1], iden * p[2], iden * m]
-    for a in range(3):
-        orb = alg.zero
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    orb = orb + x[b] * p[c] * e
+    for a, orb in enumerate(cross(x, p)):
         gens.append(iden * orb + rep.S[a].lift(alg))
         gens.append(iden * (t * p[a] - m * x[a]) + rep.eta[a].lift(alg))
     for g in gens:
@@ -201,11 +197,8 @@ def _rational_roots(poly: Poly, var: str):
     return roots
 
 
-def _pencil_det(A: Matrix, B: Matrix, c):
-    """The pencil e A + c B over PolyRing(("e",)) and its determinant."""
-    ring = PolyRing(("e",))
-    pen = dot([A, B], [ring.sym("e"), c], ring)
-    return pen, det(pen)
+# a momentum direction off every axis and coordinate plane
+DIRECTION = (1, 2, 3)
 
 
 def _pencil(A: Matrix, B: Matrix, c):
@@ -215,11 +208,33 @@ def _pencil(A: Matrix, B: Matrix, c):
     vanishes identically."""
     if not A.rows:
         return {}
-    pen, d = _pencil_det(A, B, c)
+    ring = PolyRing(("e",))
+    pen = dot([A, B], [ring.sym("e"), c], ring)
+    d = det(pen)
     if not d:
         return None
     return {r: nullspace(evaluate_matrix(pen, {"e": r}))
             for r in sorted(_rational_roots(d, "e"), key=str)}
+
+
+def dispersion(bs) -> Poly:
+    """The dispersion law f(u) = det L, u = 2 m p0 - p^2, at m = 1.
+
+    det L is evaluated along the fixed direction p = t n, n = DIRECTION,
+    with p0 = (u + t^2 |n|^2)/2, so every beta_a enters.  Galilei
+    invariance makes it a function of u alone; a t left over is a
+    ValueError.  This is one direction: a violation whose t-terms cancel
+    along n is not seen.
+    """
+    ring = PolyRing(("u", "t"))
+    u, t = ring.sym("u"), ring.sym("t")
+    n2 = sum(c * c for c in DIRECTION)
+    f = det(dot([bs.beta0, *bs.betas, bs.beta4],
+                [(u + t * t * n2) * HALF, *(t * c for c in DIRECTION), ring.one], ring))
+    if f.degree_in("t"):
+        raise ValueError(f"system {bs.name} is not Galilei invariant: det L along "
+                         f"p = t {DIRECTION} depends on t beyond 2 m p0 - p^2")
+    return f
 
 
 def _require_numeric(bs):
@@ -234,25 +249,20 @@ def spin_content(bs) -> SpinContentReport:
     """Plane-wave content of a block system (vector/scalar carriers or the
     four-component spinor system), whose entries must be rational.
 
-    Pencil route: roots of det(eF + 2R) give spin-1 branches (each
-    multiplet contributes 2s+1 = 3 states), roots of det(eG + 2E) give
-    spin-0 branches; identically singular pencils are reported as
-    gauge-like branches with no particle content.  The spinor system has
-    no sector blocks: its pencil is beta0 e + 2 beta4 (m = 1), classified
-    by S^2 on the kernel.  Direct route: kernel of beta0 p0 + beta4 m at
-    the rest frame, classified by S^2.
+    Branches come from the singular points of the rest-frame pencils:
+    roots of det(eF + 2R) give spin-1 branches (each multiplet
+    contributes 2s+1 = 3 states), roots of det(eG + 2E) give spin-0
+    branches; identically singular pencils are reported as gauge-like
+    branches with no particle content.  The spinor system has no sector
+    blocks: its pencil is beta0 e + 2 beta4 (m = 1), classified by S^2
+    on the kernel.  Only rational energies are found.
 
-    The two routes are not independent for the spinor: beta0 e + 2 beta4
-    is twice beta0 q + beta4 at e = 2q, and both are classified by S^2,
-    so ``two_route_equal`` holds there by construction.  On a block
-    system beta0 and beta4 are block diagonal, so the direct route solves
-    the same sector pencils on the full carrier; what it adds is the spin
-    read from S^2 instead of from the sector.
-
-    Only rational energies are found.  When both routes find none but
-    det(beta0 e + 2 beta4) has positive degree in e, states at other
-    energies were missed: ``two_route_equal`` is then false and a note
-    names the degree.
+    ``two_route_equal`` is the dispersion identity: f = dispersion(bs)
+    is not identically zero and equals lc(f) prod (u - epsilon)^mult over
+    the branches, i.e. the states at each energy number its multiplicity
+    in f and no root of f is missed; when it fails, a note gives the
+    degree of det L.  ``dispersion`` raises ValueError if det L is not a
+    function of u alone, the one place beta_a is read.
     """
     _require_numeric(bs)
     notes = []
@@ -270,28 +280,19 @@ def spin_content(bs) -> SpinContentReport:
         c1 = _particle_conditions(blocks, 1, vec)
         c0 = _particle_conditions(blocks, 0, sc)
     else:
-        branches = _branches(bs.rep, _pencil(bs.beta0, bs.beta4, 2), 1)
+        branches = [b for r, ker in (_pencil(bs.beta0, bs.beta4, 2) or {}).items()
+                    for b in _classify_by_spin(bs.rep, ker, r)]
         c1 = c0 = False
-    # the direct route's root is p0 = q, with epsilon = 2 q at the rest frame
-    direct = _branches(bs.rep, _pencil(bs.beta0, bs.beta4, 1), 2)
-    two_route = _branch_set(branches) == _branch_set(direct)
-    if not branches and not direct:
-        degree = _pencil_det(bs.beta0, bs.beta4, 2)[1].degree_in("e")
-        if degree > 0:
-            two_route = False
-            notes.append(f"det(beta0 e + 2 beta4) has degree {degree} in e but neither "
-                         "route found a rational energy: its states are not listed")
+    f = dispersion(bs)
+    u = f.ring.sym("u")
+    product = prod(((u - b.epsilon) ** b.multiplicity for b in branches), start=f.ring.one)
+    degree = f.degree_in("u")
+    two_route = bool(f) and f == product * f.terms[(degree, 0)]
+    if not two_route:
+        notes.append(f"det L has degree {degree} in e = 2 m p0 - p^2 and is not the product "
+                     "of the branch factors (e - epsilon)^mult: states are missed or misplaced"
+                     if f else "det L vanishes identically: no dispersion law")
     return SpinContentReport(bs.name, branches, c1, c0, two_route, tuple(notes))
-
-
-def _branch_set(branches):
-    return {(b.spin, b.epsilon, b.multiplicity) for b in branches}
-
-
-def _branches(rep: Representation, roots, scale):
-    """The S^2-classified branches of a full-carrier pencil, at epsilon =
-    scale * root; none when it is identically singular."""
-    return [b for r, ker in (roots or {}).items() for b in _classify_by_spin(rep, ker, r * scale)]
 
 
 def _classify_by_spin(rep: Representation, kernel_vectors, epsilon):

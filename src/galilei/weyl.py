@@ -376,17 +376,9 @@ class FieldConfig:
 
     def h_field(self):
         """H = curl A."""
-        from .reps import eps as _eps
-        out = []
-        for a in range(3):
-            h = self.a0.ring.zero
-            for b in range(3):
-                for c in range(3):
-                    e = _eps(a, b, c)
-                    if e:
-                        h = h + self.avec[c].diff(f"x{b+1}") * e
-            out.append(h)
-        return out
+        from .reps import cross
+
+        return cross(("x1", "x2", "x3"), self.avec, mul=lambda x, a: a.diff(x))
 
     def e_ops(self):
         return [self.algebra.from_x_poly(p) for p in self.e_field()]

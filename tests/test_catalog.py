@@ -8,7 +8,7 @@ from galilei.beta import verify_conditions
 from galilei.matrix import Matrix, canonical_span, det, evaluate_matrix, nullspace, rank
 from galilei.poly import PolyRing
 from galilei.reps import PAULI, spin1_matrix
-from galilei.scalars import GRat, I, ONE, ZERO
+from galilei.scalars import GRat, I, ONE, ZERO, UsageError
 
 
 def test_metric():
@@ -75,6 +75,12 @@ def test_params_are_the_symbols_the_entries_use():
     assert cat.levy_leblond(ring=PolyRing(("kappa", "omega"))).params == ()
     ring = PolyRing(("kappa", "omega"))
     assert cat.levy_leblond(omega=ring.sym("omega"), ring=ring).params == ("omega",)
+
+
+def test_d311_refuses_nu_zero():
+    # both sector pencils would vanish identically
+    with pytest.raises(UsageError, match="nu != 0"):
+        cat.system_D311(nu=ZERO)
 
 
 def test_vector_systems_conditions():

@@ -124,6 +124,25 @@ def test_reduce_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `galilei spin` stdout for the six catalog systems, recorded
+# (PYTHONHASHSEED=0) before the dispersion identity replaced the direct route
+SPIN_GOLDEN = {
+    "D110": "61ad6719fc049265f45a24bf2212afa7ef217a1577a8843a5a14ea3a9fc90448",
+    "D210": "e6f8bd1787ce7d465fc8270cce6b00867d32a7fb851c3bbae67f37bf105ae684",
+    "D221": "17a98b7c38056828a5595e0fc5ba4224f314e5ef70b9bcd09af7e580fb08ec72",
+    "D311": "5bd1f9a41d13d0f9ba852b374b62afc979e2af8103c01d4f5d0f6b0eb76284c1",
+    "levy_leblond": "7f5562274848bf0da223fe1101fbf1f1d1230e7b6cd3ad16b1d47a7ae7c1e738",
+    "dkp_spin0": "5b0942be6b231094ac6dbbdbf8d067d90a31a615963efd2a4d2e8ea85e50086b",
+}
+
+
+@pytest.mark.parametrize("system", sorted(SPIN_GOLDEN))
+def test_spin_golden(capsys, system):
+    rc, out, _ = run_cli(["spin", "--system", system], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPIN_GOLDEN[system]
+
+
 def test_usage_error(capsys):
     rc, out, err = run_cli(
         ["reduce", "--system", "levy_leblond", "--A0", "x1*x2*x3"], capsys)
@@ -171,6 +190,7 @@ def test_unknown_verb_usage(capsys):
     (["spin", "--system", "gamma_hat"], "unknown system"),
     (["covariance", "--system", "proca"], "unknown system"),
     (["classify", "--pairs=1,1;0,12"], "needs 1961990553600 signed permutation pairs"),
+    (["catalog", "--name", "D311", "--params", "nu=0"], "needs nu != 0"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

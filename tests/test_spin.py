@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from galilei.matrix import Matrix
 from galilei.poly import PolyRing
 from galilei.scalars import GRat, ZERO
 from galilei.spin import (
+    _pencil,
     c2_is_central,
     casimir_c3,
     casimir_ring,
     check_particle_conditions,
     diagonalize_casimir,
+    dispersion,
     generic_instance,
     spin_content,
 )
@@ -111,6 +114,52 @@ def test_unfound_energies_are_not_reported_as_agreement():
         rep = spin_content(assemble(label, R, E))
         assert rep.branches == [] and not rep.two_route_equal
         assert any("degree 2 in e" in note for note in rep.notes), rep.notes
+
+
+def test_dispersion_law_of_the_catalog_systems():
+    d311 = generic_instance(cat.system_D311(), {"nu": GRat(2)})
+    want = {"D110": "1*u", "D210": "1*u^3", "D221": "1*u^4",
+            "D311": "1024 + -768*u + 192*u^2 + -16*u^3",  # -16 (u - 4)^3
+            "levy_leblond": "1*u^2", "dkp_spin0": "1 + -1*u"}
+    for bs in (cat.system_D110(), cat.system_D210(), cat.system_D221(), d311,
+               cat.levy_leblond(), cat.dkp_spin0_system()):
+        assert str(dispersion(bs)) == want[bs.name]
+
+
+@pytest.mark.parametrize("a", range(3))
+def test_dispersion_reads_beta_a_where_the_pencils_do_not(a):
+    # doubling any one beta_a of D311 breaks Galilei invariance; the sector
+    # pencils read only beta0 and beta4, so they still give the unperturbed triplet
+    bs = generic_instance(cat.system_D311(), {"nu": GRat(2)})
+    bad = dataclasses.replace(bs, betas=[b * 2 if i == a else b for i, b in enumerate(bs.betas)])
+    with pytest.raises(ValueError, match="not Galilei invariant"):
+        dispersion(bad)
+    roots = _pencil(bad.blocks["F"], bad.blocks["R"], 2)
+    assert {str(r): len(ker) for r, ker in roots.items()} == {"4": 1}
+
+
+def test_vanishing_det_is_not_agreement():
+    # det L vanishes identically: no branch and no dispersion law to match
+    rep = spin_content(assemble("D(1,1,1)", Matrix([[GRat(1)]]), Matrix([[ZERO]])))
+    assert rep.branches == [] and not rep.two_route_equal
+    assert "det L vanishes identically: no dispersion law" in rep.notes
+
+
+DISPERSION_SEED = 0
+
+
+@pytest.mark.parametrize("key", sorted(reps.TABLE1))
+def test_dispersion_at_a_generic_hermitian_point(key):
+    # coefficients p/q, p in [-9, 9], q in [1, 5], on the self-pair basis
+    label = "D({},{},{})".format(*key)
+    space = solve_beta4_space(label, label)
+    rng = random.Random(DISPERSION_SEED)
+    R, E = Matrix.zeros(*space.r_shape), Matrix.zeros(*space.e_shape)
+    for Rk, Ek in space.basis:
+        c = GRat(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        R, E = R + Rk * c, E + Ek * c
+    f = dispersion(assemble(label, R, E))  # raises if any t is left
+    assert f.degree_in("t") == 0
 
 
 def test_particle_conditions():
