@@ -419,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nu-coupling", help="anomalous levy_leblond only (default 1)")
     q.add_argument("--A0", default="")
     q.add_argument("--A", default="")
-    q.add_argument("--truncate", default="", help='e.g. "e:1,nu:-2"')
+    q.add_argument("--truncate", default="",
+                   help='exponent windows cut from the reduced physical block before it is '
+                        'normalised, e.g. "e:1,nu:-2"')
     q.set_defaults(func=cmd_reduce)
 
     q = sub.add_parser("proca")

@@ -1,15 +1,18 @@
-"""Minimal and anomalous coupling and the exact similarity reduction.
+"""Minimal and anomalous coupling and the exact reduction.
 
-The reduction conjugates the coupled operator with W built from the
-nilpotent boost generators,
+The reduction eliminates the auxiliary components of the coupled
+operator by exact back-substitution through constant invertible pivots.
+It does not conjugate with the boost exponentials
 
-    L' = exp(-i eta^H.pi / m) . L . exp(+i eta.pi / m),
+    L' = exp(-i eta^H.pi / m) . L . exp(+i eta.pi / m):
 
-which is a terminating series, then eliminates the auxiliary components
-by exact back-substitution through constant invertible pivots.  The
-physical-block operator is normalised to unit p0 coefficient and split
-into a dictionary of named field structures plus a residual; the split
-is exact by construction (residual reported, never dropped).
+when eta_a vanishes on the physical rows, that similarity leaves the
+physical-block Schur complement unchanged (see reduce_coupled), and
+conjugate_reduce is kept as the reference route the tests compare
+against.  The physical-block operator is normalised to unit p0
+coefficient and split into a dictionary of named field structures plus
+a residual; the split is exact by construction (residual reported,
+never dropped).
 """
 
 from __future__ import annotations
@@ -81,7 +84,10 @@ def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
 
 
 def conjugate_reduce(co: CoupledOperator) -> Matrix:
-    """L' = exp(-i eta^H.pi/m) L exp(+i eta.pi/m), fully normal-ordered."""
+    """L' = exp(-i eta^H.pi/m) L exp(+i eta.pi/m), fully normal-ordered.
+
+    The reference route: eliminating the auxiliaries of L' gives the
+    physical block reduce_coupled finds on L itself."""
     alg = co.algebra
     pis = co.fc.pis()[1:4]
     i_over_m = alg.sym("m", -1) * I
@@ -110,8 +116,11 @@ def eliminate_auxiliaries(op: Matrix, phys, alg: WeylAlgebra) -> dict:
     """Exact back-substitution of the non-physical components.
 
     Repeatedly finds a row with a constant invertible pivot in an
-    auxiliary column, solves that component, substitutes everywhere.
-    Returns the physical-block operator and the solved expressions.
+    auxiliary column, solves that component and substitutes it into the
+    rows not yet used as pivots.  Only the live columns (the physical
+    ones and the auxiliaries still unsolved) are updated: a used row or a
+    solved column is never read again.  Returns the physical-block
+    operator and the solved expressions.
     """
     n = op.rows
     aux = [j for j in range(n) if j not in phys]
@@ -135,19 +144,17 @@ def eliminate_auxiliaries(op: Matrix, phys, alg: WeylAlgebra) -> dict:
             i, inv = pick
             used_rows.add(i)
             aux.remove(col)
-            pivot_row = [inv * x for x in rows[i]]
-            # component col = -(sum of pivot_row excluding col) applied to others
-            solved[col] = [
-                (j, pivot_row[j] * (-1)) for j in range(n) if j != col and pivot_row[j]
-            ]
+            live = sorted((*phys, *aux))
+            pivot_row = [(j, inv * rows[i][j]) for j in live if rows[i][j]]
+            # component col = -(pivot row without col) applied to the others
+            solved[col] = [(j, y * (-1)) for j, y in pivot_row]
             for r in range(n):
-                if r == i:
-                    continue
                 c = rows[r][col]
-                if not c:
+                if r in used_rows or not c:
                     continue
-                # entries under a zero of the pivot row stay as they are
-                rows[r] = [x - c * y if y else x for x, y in zip(rows[r], pivot_row)]
+                row = rows[r]
+                for j, y in pivot_row:
+                    row[j] = row[j] - c * y
             progress = True
     if aux:
         raise ValueError(f"could not eliminate components {aux}: no constant pivots")
@@ -247,20 +254,35 @@ def _split(co: CoupledOperator, block: Matrix, norm: Poly, cut=None) -> Reductio
 
 
 def reduce_coupled(co: CoupledOperator, truncation=None) -> ReductionReport:
-    """Full reduction: conjugate, eliminate auxiliaries, normalise, and
-    split into named terms plus residual (exact).
+    """Full reduction: eliminate the auxiliaries of the coupled operator,
+    normalise, and split into named terms plus residual (exact).
 
-    truncation, a list of (symbol, lo, hi) windows, is applied to the
-    conjugated operator before the elimination.
+    The boost conjugation is not needed.  With the physical components
+    first and eta_a zero on the physical rows (checked; ValueError
+    otherwise), exp(i eta.pi/m) = [[I, 0], [X, Y]] and
+    exp(-i eta^H.pi/m) = [[I, Z], [0, W]] with Y and W unipotent, so for
+    L = [[A, B], [C, D]] the Schur complement of P L Q is
+    A + B X + Z C + Z D X - (B + Z D) D^-1 (C + D X) = A - B D^-1 C,
+    the Schur complement of L; no step commutes two operators.
+
+    truncation, a list of (symbol, lo, hi) windows, cuts the eliminated
+    physical block before it is normalised; a window that removes the p0
+    coefficient is a UsageError.
     """
-    conj = conjugate_reduce(co)
-    if truncation:
-        conj = conj.map(lambda w: w.truncate(truncation))
+    if any(eta[i, j] for eta in co.rep.eta for i in co.phys for j in range(eta.cols)):
+        raise ValueError(f"eta_a is nonzero on the physical rows {co.phys}: "
+                         "the boost conjugation would change the physical block")
     alg = co.algebra
-    block = eliminate_auxiliaries(conj, co.phys, alg)["operator"]
+    block = eliminate_auxiliaries(co.matrix, co.phys, alg)["operator"]
+    if truncation:
+        block = block.map(lambda w: w.truncate(truncation))
     # normalise to unit p0 coefficient (it must be central constant * I)
     p0coeff = block[0, 0].coefficient_of_key(p0=1)
     if not p0coeff:
+        if truncation:
+            window = ",".join(f"{name}:{hi if lo == 0 else lo}" for name, lo, hi in truncation)
+            raise UsageError(f"truncation {window} removes the p0 term of the physical "
+                             "block, which the reduction is normalised by")
         raise ValueError("physical block has no p0 term")
     norm = Poly(alg.params, dict(p0coeff.terms))
     if len(norm.terms) != 1:

@@ -187,8 +187,9 @@ def _rational_roots(poly: Poly, var: str):
             d += 1
         return out
 
+    dens = divisors(an)
     for pn in divisors(a0):
-        for qn in divisors(an):
+        for qn in dens:
             for sgn in (1, -1):
                 cand = Fraction(sgn * pn, qn)
                 val = sum(Fraction(c) * cand ** d for d, c in ints.items())

@@ -12,10 +12,9 @@ discrepancies are recorded in LEDGER.md and checked by test_ledger.py.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-
-import pytest
 
 from galilei import catalog as cat
 from galilei import interaction
@@ -310,22 +309,14 @@ def test_criterion_07_interaction_reductions():
                     "exactly (printed: (e/nu m)(1 - lam2); "
                     f"got {rep.named.get('s.E')})",
                  rep.named.get("s.E") == exact_q_coeff)
-    # second route: eliminate the auxiliaries of the coupled operator as it
-    # stands, with no boost conjugation, and split it by the same dictionary
-    unconjugated = []
-
-    def no_conjugation(c):
-        unconjugated.append(c)
-        return c.matrix
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interaction, "conjugate_reduce", no_conjugation)
-        direct = reduce_coupled(co)
-    ok &= report(7, "vector anomalous coupling: eliminating the unconjugated operator "
-                    "gives the same s.H and s.E coefficients",
-                 unconjugated == [co]
-                 and direct.named.get("s.H") == rep.named.get("s.H")
-                 and direct.named.get("s.E") == rep.named.get("s.E"))
+    # second route: conjugate by the boost exponentials first, then
+    # eliminate the auxiliaries of L', normalise and split the same way
+    conjugated = reduce_coupled(replace(co, matrix=interaction.conjugate_reduce(co)))
+    ok &= report(7, "vector anomalous coupling: eliminating the boost-conjugated operator "
+                    "gives the same normalised block and every named term",
+                 conjugated.operator == rep.operator
+                 and list(conjugated.named.items()) == list(rep.named.items())
+                 and conjugated.residual == rep.residual)
     # exactness of the reduction: the residual is precisely the rest
     # energy plus the H^2 - (s.H)^2 combination with its exact coefficient
     nu2 = alg.params.sym("nu") ** 2

@@ -191,6 +191,8 @@ def test_unknown_verb_usage(capsys):
     (["covariance", "--system", "proca"], "unknown system"),
     (["classify", "--pairs=1,1;0,12"], "needs 1961990553600 signed permutation pairs"),
     (["catalog", "--name", "D311", "--params", "nu=0"], "needs nu != 0"),
+    (["reduce", "--system", "D311", "--coupling", "minimal", *_FIELDS, "--A0=-1/2*x1^2",
+      "--truncate", "nu:0"], "truncation nu:0 removes the p0 term"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from galilei import catalog as cat
 from galilei.interaction import (
+    conjugate_reduce,
     couple_anomalous,
     couple_minimal,
+    eliminate_auxiliaries,
     extract_g,
     hamiltonian_named,
     make_setting,
@@ -267,3 +270,86 @@ def test_reduction_resummation_invariant():
         kin = kin - pis[a + 1] * pis[a + 1] * (minv * HALF)
     iden = Matrix.identity(2, alg.one, alg.zero)
     assert total + iden * kin == rep.operator
+
+
+# -- the boost conjugation leaves the reduced block unchanged ------------------
+
+TWO_ROUTE_SEED = 5
+
+
+def random_coupling(rng, system, coupling):
+    """A coupled operator with potentials A0, A1, A2, A3 of degree <= 2,
+    each two monomials with coefficients p/q, p in [-5, 5] nonzero, q in [1, 4]."""
+    spinor = system == "levy_leblond"
+    extra = ("lam1", "lam2") if spinor else ("lam1", "lam2", "nu")
+    _, xring, alg = make_setting(extra_params=extra,
+                                 invertible=("m", "e") if spinor else ("m", "e", "nu"))
+    xs = [xring.sym(f"x{k + 1}") for k in range(3)]
+
+    def rat():
+        return GRat(Fraction(rng.choice([k for k in range(-5, 6) if k]), rng.randint(1, 4)))
+
+    def potential():
+        out = xring.zero
+        for _ in range(2):
+            mono = xring.one
+            for _ in range(rng.randint(0, 2)):
+                mono = mono * rng.choice(xs)
+            out = out + mono * rat()
+        return out
+
+    fc = FieldConfig(alg, potential(), [potential() for _ in range(3)])
+    if spinor:
+        bs, phys, sp = cat.levy_leblond(), (0, 1), spin_half()
+        lam = bs.beta0 * rat() + cat.ll_lambda_generator() * rat()
+    else:
+        bs = cat.system_D311(ring=PolyRing(("nu",), invertible=("nu",)))
+        phys, sp, lam = (0, 1, 2), [spin1_matrix(a) for a in range(3)], bs.beta0
+    if coupling == "anomalous":
+        return couple_anomalous(bs, fc, lam, phys, sp)
+    return couple_minimal(bs, fc, phys, sp)
+
+
+def conjugated_block(co):
+    """The reference route: conjugate by the boost exponentials, eliminate
+    the auxiliaries of L' and normalise to unit p0 coefficient."""
+    alg = co.algebra
+    blk = eliminate_auxiliaries(conjugate_reduce(co), co.phys, alg)["operator"]
+    p0c = Poly(alg.params, dict(blk[0, 0].coefficient_of_key(p0=1).terms))
+    return blk.map(lambda w: alg.const(p0c.monomial_inverse()) * w)
+
+
+@pytest.mark.parametrize("system", ["levy_leblond", "D311"])
+@pytest.mark.parametrize("coupling", ["minimal", "anomalous"])
+def test_reduction_equals_the_conjugated_route(system, coupling):
+    rng = random.Random(f"{TWO_ROUTE_SEED}:{system}:{coupling}")
+    for _ in range(2):
+        co = random_coupling(rng, system, coupling)
+        assert reduce_coupled(co).operator == conjugated_block(co)
+
+
+def test_reduction_refuses_eta_on_the_physical_rows():
+    _, _, _, fc = spinor_setting()
+    co = couple_minimal(cat.levy_leblond(), fc, phys=(2, 3), spin_phys=spin_half())
+    with pytest.raises(ValueError, match="physical rows"):
+        reduce_coupled(co)
+
+
+@pytest.mark.parametrize("window", [[("e", 0, 1)], [("m", -1, 10 ** 6)],
+                                    [("e", 0, 1), ("nu", -2, 10 ** 6)]])
+def test_truncation_cuts_the_reduced_block(window):
+    # the truncated reduction is the exact physical block cut to the window
+    _, _, _, fc, bs = vector_setting(with_h=True)
+    vector = couple_anomalous(bs, fc, bs.beta0, phys=(0, 1, 2),
+                              spin_phys=[spin1_matrix(a) for a in range(3)])
+    _, _, _, fc = spinor_setting(("lam1", "lam2"))
+    spinor = couple_anomalous(cat.levy_leblond(), fc, cat.ll_lambda_generator(),
+                              phys=(0, 1), spin_phys=spin_half())
+    for co in (vector, spinor):
+        if any(name not in co.algebra.params.index for name, _, _ in window):
+            continue
+        alg = co.algebra
+        exact = reduce_coupled(co)
+        norm, inv = alg.const(exact.normalisation), alg.const(exact.normalisation.monomial_inverse())
+        cut = exact.operator.map(lambda w: inv * (norm * w).truncate(window))
+        assert reduce_coupled(co, window).operator == cut
