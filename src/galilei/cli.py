@@ -202,7 +202,11 @@ def cmd_catalog(args) -> int:
     from . import catalog as cat
     from .matrix import Matrix
 
-    params = {k: _rational(v) for k, _, v in (kv.partition("=") for kv in args.params or [])}
+    params = {}
+    for k, _, v in (kv.partition("=") for kv in args.params or []):
+        if k in params:
+            raise UsageError(f"--params gives {k} more than once")
+        params[k] = _rational(v)
     obj = cat.canonical(args.name, **params)
     if isinstance(obj, list):
         payload = {"matrices": [_matrix_json(m) for m in obj]}
@@ -253,6 +257,8 @@ def cmd_spin(args) -> int:
 def cmd_covariance(args) -> int:
     from . import covariance as cov_mod
 
+    if args.trials < 0:
+        raise UsageError(f"--trials must be >= 0 (0 = symbolic); got {args.trials}")
     bs = _system_for_spin(args.system)
     if args.trials:
         res = cov_mod.finite_boost_covariance(bs, symbolic=False, samples=args.trials,

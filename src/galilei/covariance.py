@@ -127,8 +127,10 @@ def finite_boost_covariance(bs, symbolic=True, samples=0, seed=0) -> dict:
     """T(v)^H L(ptilde) T(v) = L(p) exactly.
 
     symbolic: full identity in (v, p) and any system parameters;
-    otherwise seeded rational samples of (v, p).
+    otherwise seeded rational samples of (v, p), at least one.
     """
+    if not symbolic and samples < 1:
+        raise ValueError(f"sampled covariance needs samples >= 1; got {samples}")
     extra = getattr(bs, "params", ())
     ring = boost_ring(extra)
     T = group_element(bs.rep, ring)

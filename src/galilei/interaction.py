@@ -471,7 +471,8 @@ def parse_truncation(text: str, ring: PolyRing):
     """Parse "l3:2,e:1,nu:-2" into truncation windows on symbols of ring.
 
     A positive cap keeps exponents in [0, cap]; a negative cap keeps
-    exponents >= cap (for inverse small parameters such as 1/nu)."""
+    exponents >= cap (for inverse small parameters such as 1/nu).  Each
+    symbol takes one window."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -481,6 +482,8 @@ def parse_truncation(text: str, ring: PolyRing):
         name = name.strip()
         if name not in ring.index:
             raise UsageError(f"truncation symbol {name!r} is not a parameter of this reduction")
+        if any(name == seen for seen, _, _ in out):
+            raise UsageError(f"truncation symbol {name!r} is given more than once")
         try:
             cap = int(cap)
         except ValueError:

@@ -4,6 +4,7 @@ import pytest
 
 from fractions import Fraction
 
+from galilei import beta as beta_mod
 from galilei.beta import (
     VectorCarrier,
     assemble,
@@ -165,6 +166,72 @@ def test_symbolic_parameter_systems_verify():
     ring = PolyRing(("kappa", "omega"))
     ll = cat.levy_leblond(ring=ring, kappa=ring.sym("kappa"), omega=ring.sym("omega"))
     assert verify_conditions(ll)["ok"]
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """A fresh verified-systems memo and a count of verify_conditions calls."""
+    calls = []
+    real = beta_mod.verify_conditions
+
+    def counting(bs):
+        calls.append(bs.name)
+        return real(bs)
+
+    monkeypatch.setattr(beta_mod, "_VERIFIED", set())
+    monkeypatch.setattr(beta_mod, "verify_conditions", counting)
+    return calls
+
+
+def test_assemble_verifies_each_distinct_system_once(verify_calls):
+    # equal rings built separately key the same snapshot
+    cat.system_D311(ring=PolyRing(("nu",), invertible=("nu",)))
+    cat.system_D311(ring=PolyRing(("nu",), invertible=("nu",)))
+    assert len(verify_calls) == 1
+    cat.system_D311(nu=GRat(2))
+    assert len(verify_calls) == 2
+    cat.system_D311(nu=GRat(2))
+    assert len(verify_calls) == 2
+
+
+def test_assemble_keys_on_the_carrier_matrices_not_its_labels(verify_calls):
+    bs = cat.system_D311()
+    car = bs.carrier
+    A = Matrix(car.A.entries)
+    A.entries[0][0] = A[0, 0] + ONE
+    changed = VectorCarrier(car.labels, A, car.B, car.C, car.N, car.M)
+    with pytest.raises(AssertionError, match="conditions violated"):
+        assemble(changed, bs.blocks["R"], bs.blocks["E"])
+    assert len(verify_calls) == 2
+
+
+def test_assemble_still_catches_a_fault_on_new_inputs(verify_calls, monkeypatch):
+    real = beta_mod.derived_blocks
+
+    def faulty(car_l, car_r, R, E):
+        H, M, N, F, G = real(car_l, car_r, R, E)
+        return H * GRat(2), M, N, F, G
+
+    monkeypatch.setattr(beta_mod, "derived_blocks", faulty)
+    with pytest.raises(AssertionError, match="family1"):
+        cat.system_D311()
+    # a failed system is not remembered
+    monkeypatch.setattr(beta_mod, "derived_blocks", real)
+    cat.system_D311()
+    assert len(verify_calls) == 2
+
+
+def test_assemble_returns_a_fresh_system_every_call(verify_calls):
+    first = cat.system_D311()
+    expected = Matrix(first.betas[0].entries)
+    i, j = next((i, j) for i, row in enumerate(expected.entries)
+                for j, x in enumerate(row) if x)
+    first.betas[0].entries[i][j] = first.betas[0][i, j] + ONE
+    first.blocks["R"].entries[0][0] = ONE
+    second = cat.system_D311()
+    assert len(verify_calls) == 1
+    assert second.betas[0] == expected
+    assert verify_conditions(second)["ok"]
 
 
 def test_normalize_equivalence_levy_leblond():

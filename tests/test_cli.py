@@ -193,6 +193,10 @@ def test_unknown_verb_usage(capsys):
     (["catalog", "--name", "D311", "--params", "nu=0"], "needs nu != 0"),
     (["reduce", "--system", "D311", "--coupling", "minimal", *_FIELDS, "--A0=-1/2*x1^2",
       "--truncate", "nu:0"], "truncation nu:0 removes the p0 term"),
+    (["covariance", "--system", "D110", "--trials", "-3"], "--trials must be >= 0"),
+    (["catalog", "--name", "D311", "--params", "nu=2", "nu=5"], "gives nu more than once"),
+    (["reduce", "--system", "levy_leblond", "--A0=x1", "--truncate", "e:1,e:2"],
+     "truncation symbol 'e' is given more than once"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run_cli(argv, capsys)

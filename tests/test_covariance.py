@@ -177,6 +177,13 @@ def test_finite_boost_covariance_sampled():
     assert res["ok"]
 
 
+def test_sampled_covariance_needs_a_sample():
+    bs = cat.levy_leblond()
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            finite_boost_covariance(bs, symbolic=False, samples=samples)
+
+
 def test_covariance_negative_control():
     bs = cat.system_D110()
     bs.betas[0].entries[0][3] = bs.betas[0].entries[0][3] + ONE
