@@ -5,7 +5,7 @@ indecomposable vector/scalar systems, the Galilean Clifford set, the
 10x10 and 6x6 Galilean Duffin-Kemmer sets, the second-order five-vector
 (Proca-type) operator, the vector-bispinor (Rarita-Schwinger-type)
 operator, and the contraction of the relativistic Duffin-Kemmer system
-to the seven-component Galilean one.
+onto the seven-component Galilean system D(2,1,0).
 
 Convention notes (exactness forced these choices; see the module tests):
 
@@ -25,14 +25,7 @@ from dataclasses import dataclass
 from .scalars import GRat, ZERO, ONE, HALF, I, UsageError
 from .matrix import Matrix, det, dot, nullspace, evaluate_matrix
 from .poly import PolyRing, Poly
-from .reps import (
-    RepLabel,
-    Representation,
-    build,
-    spin1_matrix,
-    PAULI,
-    eps,
-)
+from .reps import RepLabel, Representation, build, cross, spin1_matrix, PAULI
 from .beta import BetaSystem, assemble
 
 
@@ -46,6 +39,16 @@ def galilean_metric() -> Matrix:
     for a in (1, 2, 3):
         g[a][a] = -ONE
     return Matrix(g)
+
+
+def lower_index(vec, zero) -> list:
+    """v_n = g_nk v^k for five entries (Polys, Weyl elements or matrices).
+
+    The metric is its own inverse, so the same sum raises an index.
+    """
+    g = galilean_metric()
+    return [sum((v * g[n, k] for k, v in enumerate(vec) if g[n, k]), zero)
+            for n in range(5)]
 
 
 # -- gamma matrices ---------------------------------------------------------------
@@ -241,14 +244,8 @@ def dkp_spin0_system(c=GRat(1)) -> DkpSpin0System:
     betas = [B[a] * (-1) for a in (1, 2, 3)]
     beta4 = B[0] + Matrix.identity(6) * c
     eta = [(_e6(1, 2 + a) + _e6(2 + a, 5)) * (-I) for a in range(3)]
-    S = []
-    for a in range(3):
-        sa = spin1_matrix(a)
-        m = Matrix.zeros(6, 6)
-        for b in range(3):
-            for cc in range(3):
-                m.entries[1 + b][1 + cc] = sa[b, cc]
-        S.append(m)
+    S = [Matrix.direct_sum([Matrix.zeros(1, 1), spin1_matrix(a), Matrix.zeros(2, 2)])
+         for a in range(3)]
     rep = Representation((RepLabel("D", 1, 2, 1), RepLabel("D", 0, 1, 0)), S, eta)
     # block data in the five-vector basis: vector sector = slots 2..4,
     # scalar sector = slots (1, 5, 6)
@@ -291,53 +288,44 @@ def proca_ring() -> PolyRing:
     return PolyRing(("p0", "p1", "p2", "p3", "m", "lam"), invertible=("m",))
 
 
-def proca_operator(ring=None, lam=None) -> Matrix:
-    """5x5 operator W with W psi = 0 the five-vector wave system.
+def five_vector_operator(upper, lam_m, zero) -> Matrix:
+    """5x5 operator (p_k p^k) delta_mn - p^m p_n + lam_m [m=0][n=4].
 
-    Row m, column n: (p_k p^k) delta_mn - p^m p_n + lam*m*[m=0][n=4].
-    Uses commuting momenta (the free case).  lam must be nonzero for the
-    system to be consistent; passing lam=0 is rejected.
+    upper is the five-momentum p^m, commuting symbols or Weyl elements
+    with p^4 = m central, and p_n = g_nk p^k.  The lam*m term is needed
+    for the system to be consistent, so a zero lam_m is rejected.
+    """
+    if not lam_m:
+        raise ValueError("the lam term is required for consistency; lam = 0 rejected")
+    lower = lower_index(upper, zero)
+    pp = sum((u * low for u, low in zip(upper, lower)), zero)
+    W = Matrix([[(pp if a == b else zero) - upper[a] * lower[b] for b in range(5)]
+                for a in range(5)])
+    W.entries[0][4] = W.entries[0][4] + lam_m
+    return W
+
+
+def proca_operator(ring=None, lam=None) -> Matrix:
+    """The free five-vector wave system W psi = 0 (commuting momenta).
+
+    lam must be nonzero for the system to be consistent; a zero lam of
+    any type is rejected.
     """
     if ring is None:
         ring = proca_ring()
     if lam is None:
         lam = ring.sym("lam")
-    if isinstance(lam, (int, GRat)) and not lam:
-        raise ValueError("the lam term is required for consistency; lam = 0 rejected")
-    p0, p1, p2, p3, m = ring.syms("p0", "p1", "p2", "p3", "m")
-    upper = [p0, p1, p2, p3, m]
-    lower = [m, -p1, -p2, -p3, p0]
-    psq = p0 * m * 2 - (p1 * p1 + p2 * p2 + p3 * p3)
-    rows = []
-    for mm in range(5):
-        row = []
-        for n in range(5):
-            ent = -(upper[mm] * lower[n])
-            if mm == n:
-                ent = ent + psq
-            if mm == 0 and n == 4:
-                ent = ent + lam * m
-            row.append(ent)
-        rows.append(row)
-    return Matrix(rows)
+    return five_vector_operator(ring.syms("p0", "p1", "p2", "p3", "m"), ring.sym("m") * lam,
+                                ring.zero)
 
 
 def proca_contraction_identity(ring=None) -> bool:
     """p_m W^m = lam m^2 psi^4 identically (fixes the index convention)."""
     if ring is None:
         ring = proca_ring()
-    W = proca_operator(ring)
-    p0, p1, p2, p3, m = ring.syms("p0", "p1", "p2", "p3", "m")
-    lower = [m, -p1, -p2, -p3, p0]
-    lam = ring.sym("lam")
-    for n in range(5):
-        acc = ring.zero
-        for mm in range(5):
-            acc = acc + lower[mm] * W[mm, n]
-        want = lam * m * m if n == 4 else ring.zero
-        if acc != want:
-            return False
-    return True
+    lower = lower_index(ring.syms("p0", "p1", "p2", "p3", "m"), ring.zero)
+    lam, m = ring.syms("lam", "m")
+    return Matrix([lower]) @ proca_operator(ring) == Matrix([[ring.zero] * 4 + [lam * m * m]])
 
 
 def proca_rest_frame_solutions(lam_val=GRat(1), m_val=GRat(1)) -> dict:
@@ -352,8 +340,8 @@ def proca_rest_frame_solutions(lam_val=GRat(1), m_val=GRat(1)) -> dict:
 
 
 def proca_determinant_factor() -> dict:
-    """det W = -lam * m^2 * (2 m p0 - p^2)^4 / ... computed exactly; the
-    rank defect locus is exactly the dispersion surface."""
+    """det W, computed exactly, with the factors it equals: lam m^3 c2^3,
+    c2 = 2 m p0 - p^2, so the rank defect locus is the dispersion surface."""
     ring = proca_ring()
     W = proca_operator(ring)
     d = det(W)
@@ -364,10 +352,6 @@ def proca_determinant_factor() -> dict:
 
 
 # -- vector-bispinor operator -------------------------------------------------------
-
-
-def rs_ring() -> PolyRing:
-    return PolyRing(("p0", "p1", "p2", "p3", "m", "lam"), invertible=("m",))
 
 
 def _gamma_poly(ring):
@@ -382,14 +366,12 @@ def rarita_schwinger_operator(ring=None) -> Matrix:
         + gamma^m (gamma.p) gamma_n + lam m [m=0][n=4].
     """
     if ring is None:
-        ring = rs_ring()
+        ring = proca_ring()
     g = _gamma_poly(ring)
-    p0, p1, p2, p3, m = ring.syms("p0", "p1", "p2", "p3", "m")
-    lam = ring.sym("lam")
-    upper = [p0, p1, p2, p3, m]
-    lower = [m, -p1, -p2, -p3, p0]
-    # index raising on gammas: gamma^0 = gamma_4, gamma^a = -gamma_a, gamma^4 = gamma_0
-    g_up = [g[4], -g[1], -g[2], -g[3], g[0]]
+    upper = ring.syms("p0", "p1", "p2", "p3", "m")
+    lam, m = ring.syms("lam", "m")
+    lower = lower_index(upper, ring.zero)
+    g_up = lower_index(g, Matrix.zeros(4, 4, ring.zero))
     gp = dot(g, upper, ring)
     i4 = Matrix.identity(4, ring.one, ring.zero)
     blocks = []
@@ -413,7 +395,7 @@ def rs_consequence_stack(ring=None) -> Matrix:
     """Stacked consequence system: gamma.p on each of the first four
     bispinors; m Psi^0 - p^a Psi^a; gamma_0 Psi^0 + gamma_a Psi^a; Psi^4."""
     if ring is None:
-        ring = rs_ring()
+        ring = proca_ring()
     g = _gamma_poly(ring)
     p0, p1, p2, p3, m = ring.syms("p0", "p1", "p2", "p3", "m")
     upper = [p0, p1, p2, p3, m]
@@ -438,11 +420,7 @@ def rs_total_spin():
     i4 = Matrix.identity(4)
     i5 = Matrix.identity(5)
     for a in range(3):
-        sv = Matrix.zeros(5, 5)
-        sa = spin1_matrix(a)
-        for b in range(3):
-            for c in range(3):
-                sv.entries[1 + b][1 + c] = sa[b, c]
+        sv = Matrix.direct_sum([Matrix.zeros(1, 1), spin1_matrix(a), Matrix.zeros(1, 1)])
         out.append(sv.kron(i4) + i5.kron(Matrix.direct_sum([PAULI[a], PAULI[a]]) * HALF))
     return out
 
@@ -451,100 +429,56 @@ def rs_total_spin():
 
 
 def dkp_contraction() -> dict:
-    """Scale the tensorial relativistic system and extract the leading
-    graded component of each equation.
+    """Contract the tensorial relativistic spin-1 system onto D(2,1,0).
 
-    Grading: wt(eps) = 1, wt(pt0) = 2, everything else weight 0; the
-    mass identification kappa -> m absorbs the eps^-2 of the printed
-    substitution into the grading.  Scalings: R = Rt, N = eps^2 Nt,
-    W = eps Wt, B = eps Bt, p^a = eps pt_a, p^0 = m + pt0.
+    The relativistic system on (R^a, N^a, W^a, B) is one 10x10 operator,
+    with p^0 = m + pt0, p^a = eps pt_a and the mass kappa = m.  The
+    scaling R = Rt, N = eps^2 Nt, W = eps Wt, B = eps Bt is the column
+    factor diag(I3, eps^2 I3, eps I3, eps).  Each row keeps its part of
+    lowest weight, wt(eps) = 1 and wt(pt0) = 2, taken at eps = 1.
+
+    The R, W, B rows and columns ("extracted") must equal the operator L
+    of the assembled and verified D(2,1,0) system up to signs,
+    diag(I6, -1) L diag(I3, -I3, 1); the N rows ("auxiliary") must be
+    [0 | 2m I3 | L's first three rows on the W, B columns].
     """
     ring = PolyRing(("eps", "pt0", "pt1", "pt2", "pt3", "m"), invertible=("eps",))
-    e_, pt0, m = ring.sym("eps"), ring.sym("pt0"), ring.sym("m")
-    pt = [ring.sym(f"pt{a+1}") for a in range(3)]
-    varnames = [f"Rt{a}" for a in range(3)] + [f"Nt{a}" for a in range(3)] \
-        + [f"Wt{a}" for a in range(3)] + ["Bt"]
+    e_, pt0, m = ring.syms("eps", "pt0", "m")
+    one, zero = ring.one, ring.zero
+    p = [e_ * ring.sym(f"pt{a}") for a in (1, 2, 3)]
+    p0 = m + pt0
+    i3, z3 = Matrix.identity(3, one, zero), Matrix.zeros(3, 3, zero)
+    px = Matrix([cross(p, e) for e in i3.entries]).T    # px @ W = p x W
+    pc = Matrix([[x] for x in p])
+    rel = Matrix.block([
+        [i3 * ((p0 - m) * 2), z3, px, pc],
+        [z3, i3 * (p0 + m), -px, pc],
+        [px, px * HALF, i3 * (-m), Matrix.zeros(3, 1, zero)],
+        [-pc.T, pc.T * HALF, Matrix.zeros(1, 3, zero), Matrix([[-m]])],
+    ])
+    scaled = rel @ Matrix.direct_sum([i3, i3 * e_ ** 2, i3 * e_, Matrix([[e_]])])
+    k_eps, k_pt0 = ring.index["eps"], ring.index["pt0"]
 
-    def row():
-        return {v: ring.zero for v in varnames}
+    def weight(e):
+        return e[k_eps] + 2 * e[k_pt0]
 
-    def cross(prefix, coeff_vec, out, sign=1):
-        # adds sign * eps_abc coeff_b X_c for each a-component equation list
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    s = eps(a, b, c)
-                    if s:
-                        out[a][f"{prefix}{c}"] = out[a][f"{prefix}{c}"] + \
-                            coeff_vec[b] * (s * sign)
-
-    eq1 = [row() for _ in range(3)]
-    eq2 = [row() for _ in range(3)]
-    eq3 = [row() for _ in range(3)]
-    eq4 = row()
-    for a in range(3):
-        eq1[a][f"Rt{a}"] = pt0 * 2                      # 2(p0 - kappa) R^a
-        eq1[a]["Bt"] = e_ * pt[a] * e_                  # p^a B
-        eq2[a][f"Nt{a}"] = (pt0 + m * 2) * e_ ** 2      # (p0 + kappa) N^a
-        eq2[a]["Bt"] = e_ * pt[a] * e_                  # + p^a B
-        eq3[a][f"Wt{a}"] = -(m * e_)                    # = kappa W^a
-    cross("Wt", [e_ ** 2 * p for p in pt], eq1, sign=1)   # + eps_abc p_b W_c (W = eps Wt)
-    cross("Wt", [e_ ** 2 * p for p in pt], eq2, sign=-1)  # - eps_abc p_b W_c
-    cross("Rt", [e_ * p for p in pt], eq3, sign=1)      # eps_abc p_b R_c
-    cross("Nt", [e_ ** 3 * p * HALF for p in pt], eq3, sign=1)
-    for a in range(3):
-        eq4[f"Nt{a}"] = pt[a] * e_ ** 3 * HALF          # 1/2 p.N
-        eq4[f"Rt{a}"] = -(pt[a] * e_)                   # - p.R
-    eq4["Bt"] = eq4["Bt"] - m * e_                      # = kappa B
-
-    def weight(term_exp):
-        return term_exp[ring.index["eps"]] + 2 * term_exp[ring.index["pt0"]]
-
-    def extract(eq):
-        wmin = None
-        for coeff in eq.values():
-            for t in coeff.terms:
-                w = weight(t)
-                wmin = w if wmin is None else min(wmin, w)
-        out = {}
-        for v, coeff in eq.items():
-            kept = {t: c for t, c in coeff.terms.items() if weight(t) == wmin}
-            p = Poly(ring, kept).subs({"eps": GRat(1)})
-            if p:
-                out[v] = p
-        return out
-
-    # targets: the seven-component system written componentwise, plus the
-    # auxiliary-component relation
-    t1 = [row() for _ in range(3)]
-    t2 = [row() for _ in range(3)]
-    t3 = [row() for _ in range(3)]
-    t4 = row()
-    for a in range(3):
-        t1[a][f"Rt{a}"] = pt0 * 2
-        t1[a]["Bt"] = pt[a]
-        t2[a][f"Wt{a}"] = -m
-        t3[a][f"Nt{a}"] = m * 2
-        t3[a]["Bt"] = pt[a]
-    cross("Wt", pt, t1, sign=1)
-    cross("Rt", pt, t2, sign=1)
-    cross("Wt", pt, t3, sign=-1)
-    for a in range(3):
-        t4[f"Rt{a}"] = -pt[a]
-    t4["Bt"] = -m
-
-    def clean(eq):
-        return {v: c for v, c in eq.items() if c}
-
-    got = [extract(q) for q in (eq1[0], eq1[1], eq1[2], eq3[0], eq3[1], eq3[2], eq4)]
-    want = [clean(q) for q in (t1[0], t1[1], t1[2], t2[0], t2[1], t2[2], t4)]
-    aux_got = [extract(q) for q in eq2]
-    aux_want = [clean(q) for q in t3]
+    lead = []
+    for row in scaled.entries:
+        low = min(weight(e) for x in row for e in x.terms)
+        lead.append([Poly(ring, {e: c for e, c in x.terms.items() if weight(e) == low})
+                     .subs({"eps": ONE}) for x in row])
+    lead = Matrix(lead)
+    rwb = (0, 1, 2, 6, 7, 8, 9)
+    main = lead.submatrix(rwb, rwb)
+    aux = lead.submatrix(range(3, 6), range(10))
+    L = system_D210().operator(ring, momenta=("pt0", "pt1", "pt2", "pt3"))
+    sign_rows = Matrix.direct_sum([Matrix.identity(6, one, zero), Matrix([[-one]])])
+    sign_cols = Matrix.direct_sum([i3, -i3, Matrix([[one]])])
     return {
-        "main_ok": got == want,
-        "aux_ok": aux_got == aux_want,
-        "extracted": got,
-        "auxiliary": aux_got,
+        "main_ok": main == sign_rows @ L @ sign_cols,
+        "aux_ok": aux == Matrix.block([[z3, i3 * (m * 2), L.submatrix(range(3), range(3, 7))]]),
+        "extracted": main,
+        "auxiliary": aux,
     }
 
 

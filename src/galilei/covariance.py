@@ -49,25 +49,23 @@ def group_element(rep: Representation, ring=None, vnames=("v1", "v2", "v3"),
 def rotation_element(rep: Representation, axis: int, ring, half_cos="c", half_sin="s"):
     """exp(i S_axis theta) with cos(theta/2) = c, sin(theta/2) = s.
 
-    Uses S^3 = S on every block here (spins 0, 1/2, 1):
-    exp(i S t) = I + i S sin t + S^2 (cos t - 1), with
-    sin t = 2cs and cos t = c^2 - s^2; for half-integer blocks the same
-    series in the half angle applies to 2S.
+    Sums exp(i lambda theta) times the Lagrange projector of S onto each
+    eigenvalue lambda in {0, +-1/2, +-1} (spins 0, 1/2, 1), with
+    exp(+-i theta/2) = c +- i s and exp(+-i theta) = c^2 - s^2 +- 2ics.
+    The projectors are exact only if S(S^2 - 1)(4S^2 - 1) = 0, i.e. S
+    is diagonalisable with no other eigenvalue (a spin-3/2 block has
+    +-3/2); otherwise ValueError.
     """
+    evals = [GRat(Fraction(k, 2)) for k in (-2, -1, 0, 1, 2)]
+    vanish = Matrix.identity(rep.dim)
+    for mu in evals:
+        vanish = vanish @ (rep.S[axis] - Matrix.identity(rep.dim) * mu)
+    if not vanish.is_zero():
+        raise ValueError(f"S_{axis} is not diagonalisable over {{0, +-1/2, +-1}}")
     c, s = ring.sym(half_cos), ring.sym(half_sin)
     S = rep.S[axis].lift(ring)
     dim = rep.dim
     iden = Matrix.identity(dim, ring.one, ring.zero)
-    # double.S = 2S has (2S)^3 = ... not uniform across mixed carriers; use
-    # the half-angle formula via the universal identity on our carriers:
-    # exp(i S theta) = exp(i (2S) theta/2 / ... ) -- handled per block is
-    # overkill: all carriers here satisfy S(S-1)(S+1)(2S-1)(2S+1)=0, so a
-    # degree-4 polynomial in S with (c, s) coefficients suffices.
-    # exp(i S theta) = sum over eigenvalues; realised by Lagrange interpolation
-    # on the eigenvalue set {-1,-1/2,0,1/2,1}.
-    evals = [GRat(Fraction(k, 2)) for k in (-2, -1, 0, 1, 2)]
-    # exp(i lambda theta) in terms of c, s:  theta = full angle
-    # lambda = 0: 1 ; +-1: (c^2-s^2) +- i 2cs ; +-1/2: c +- i s
     cos_t = c * c - s * s
     sin_t = c * s * 2
     iu = ring.const(I)

@@ -417,41 +417,17 @@ def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
     the general case keeps the auxiliary component implicit, as the
     closed reduction would need a series inverse.
     """
+    from .catalog import five_vector_operator, galilean_metric
+    from .weyl import field_strength
+
     alg = fc.algebra
-    lam_s = alg.sym(lam)
     pis = fc.pis()
     m = alg.sym("m")
     minv = alg.sym("m", -1)
-    from .weyl import field_strength
-
-    F = field_strength(fc)
     pi2 = sum((p * p for p in pis[1:4]), alg.zero)
-    # pi_n pi^n = 2 m pi0 - pi^2 (pi4 = m central)
-    pin2 = pis[0] * m * 2 - pi2
-    # the metric ghat_{k n} pairs column n with k = gcol[n], of sign sgn[n]
-    gcol, sgn = (4, 1, 2, 3, 0), (1, -1, -1, -1, 1)
-    rows = []
-    for mm in range(5):
-        row = []
-        for n in range(5):
-            # pi_n of column index: lowering (m, -pi^a, pi^0)
-            if n == 0:
-                pin = m
-            elif n == 4:
-                pin = pis[0]
-            else:
-                pin = pis[n] * (-1)
-            ent = pis[mm] * pin * (-1)
-            if mm == n:
-                ent = ent + pin2
-            # + 2 i e F^{m k} g_{k n} column term: psi_n lowered index
-            # 2 i (eF)^{m k} ghat_{k n}
-            ent = ent + F[mm, gcol[n]] * (I * 2) * sgn[n]
-            if mm == 0 and n == 4:
-                ent = ent + lam_s * m
-            row.append(ent)
-        rows.append(row)
-    W = Matrix(rows)
+    # the field term 2 i (eF)^{mk} g_kn acts on psi with its index lowered
+    W = (five_vector_operator(pis, alg.sym(lam) * m, alg.zero)
+         + field_strength(fc) @ galilean_metric().lift(alg) * (I * 2))
     # variable change: psi_hat = T psi with the five-vector boost at -pi/m
     one, zero = alg.one, alg.zero
     T = Matrix.identity(5, one, zero)

@@ -308,7 +308,13 @@ class Poly:
         return Poly(ring, terms)
 
     def reduce_relation(self, name: str, replacement: "Poly") -> "Poly":
-        """Rewrite name**2 -> replacement until the degree in name is <= 1."""
+        """Rewrite name**2 -> replacement until the degree in name is <= 1.
+
+        The replacement must itself have degree <= 1 in name (ValueError
+        otherwise), so one pass reaches that degree.
+        """
+        if replacement.degree_in(name) >= 2:
+            raise ValueError(f"the replacement for {name}^2 has degree >= 2 in {name}")
         k = self.ring.index[name]
         out = self.ring.zero
         for e, c in self.terms.items():
@@ -318,7 +324,6 @@ class Poly:
             term = Poly(self.ring, {tuple(e2): c})
             if p >= 2:
                 term = term * replacement ** (p // 2)
-        # replacement may itself contain name^2? assume not (degree <= 1)
             out = out + term
         return out
 

@@ -422,7 +422,7 @@ def test_criterion_08_dkp_contraction():
 def test_criterion_09_rarita_schwinger_and_proca():
     t0 = time.time()
     ok = True
-    ring = cat.rs_ring()
+    ring = cat.proca_ring()
     RA = cat.rarita_schwinger_operator(ring)
     stack = cat.rs_consequence_stack(ring)
     rng = random.Random(0)

@@ -37,7 +37,7 @@ def test_clifford_negative_control():
 
 def test_gamma_square_is_wave_operator():
     # (gamma.p)^2 = (p_n p^n) I, symbolically
-    ring = cat.rs_ring()
+    ring = cat.proca_ring()
     g = [m.map(lambda x: ring.const(x)) for m in cat.gamma_hat()]
     p0, p1, p2, p3, m = ring.syms("p0", "p1", "p2", "p3", "m")
     upper = [p0, p1, p2, p3, m]
@@ -133,8 +133,9 @@ def test_proca_contraction_identity():
 
 
 def test_proca_lambda_zero_rejected():
-    with pytest.raises(ValueError):
-        cat.proca_operator(lam=GRat(0))
+    for lam in (GRat(0), 0, cat.proca_ring().zero):
+        with pytest.raises(ValueError):
+            cat.proca_operator(lam=lam)
 
 
 def test_proca_rest_frame():
@@ -176,7 +177,7 @@ def test_proca_selfadjoint_under_metric_pairing():
 
 
 def test_rarita_schwinger_consequences():
-    ring = cat.rs_ring()
+    ring = cat.proca_ring()
     RA = cat.rarita_schwinger_operator(ring)
     stack = cat.rs_consequence_stack(ring)
     rng = random.Random(0)
@@ -191,7 +192,7 @@ def test_rarita_schwinger_consequences():
 
 
 def test_rarita_schwinger_rest_frame():
-    ring = cat.rs_ring()
+    ring = cat.proca_ring()
     RA = cat.rarita_schwinger_operator(ring)
     pt = {"p0": ZERO, "p1": ZERO, "p2": ZERO, "p3": ZERO, "m": GRat(1), "lam": GRat(1)}
     ns = nullspace(evaluate_matrix(RA, pt))
@@ -226,6 +227,15 @@ def test_dkp_contraction():
     res = cat.dkp_contraction()
     assert res["main_ok"]
     assert res["aux_ok"]
+    # the contraction lands on D(2,1,0) up to row and column signs, not on
+    # its operator L itself
+    ring = PolyRing(("eps", "pt0", "pt1", "pt2", "pt3", "m"), invertible=("eps",))
+    L = cat.system_D210().operator(ring, momenta=("pt0", "pt1", "pt2", "pt3"))
+    rows = Matrix.direct_sum([Matrix.identity(6), Matrix([[-ONE]])]).lift(ring)
+    cols = Matrix.direct_sum([Matrix.identity(3), -Matrix.identity(3),
+                              Matrix.identity(1)]).lift(ring)
+    assert res["extracted"] == rows @ L @ cols
+    assert res["extracted"] != L
 
 
 def test_canonical_unknown_name():

@@ -22,6 +22,10 @@ def run_cli(argv, capsys):
 
 XRING = PolyRing(("x1", "x2", "x3"))
 
+# stdout sha256 of every command the benchmark's verbs workload checks
+VERBS_REF = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "ref", "verbs.json")
+
 
 def test_parse_field_expr():
     p = parse_field_expr("1/2*x1^2 + x2", XRING)
@@ -315,3 +319,17 @@ def test_verb_loads_only_what_it_runs(capsys, argv, not_loaded):
     assert rc == 0
     assert out == run_cli(argv, capsys)[1]
     assert loaded.isdisjoint(f"galilei.{name}" for name in not_loaded)
+
+
+def test_verbs_reference_digests(capsys):
+    """Each recorded verbs command, run in-process, exits 0 with the
+    recorded stdout digest."""
+    with open(VERBS_REF) as f:
+        ref = json.load(f)
+    bad = []
+    for cmd, digest in sorted(ref.items()):
+        rc, out, _ = run_cli(cmd.split(" "), capsys)
+        if rc != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            bad.append(cmd)
+    assert ref
+    assert bad == []

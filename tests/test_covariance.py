@@ -164,6 +164,15 @@ def test_rotation_element_group_and_covariance():
     assert got == want1 or got == want2
 
 
+def test_rotation_element_rejects_spin_three_halves():
+    # the vector-bispinor carrier has S_3 eigenvalues +-3/2, outside the
+    # interpolation set, so the Lagrange sum would not be exp(i S theta)
+    S = cat.rs_total_spin()
+    rep = reps.Representation((), S, [Matrix.zeros(20, 20)] * 3)
+    with pytest.raises(ValueError):
+        rotation_element(rep, 2, PolyRing(("c", "s")))
+
+
 def test_finite_boost_covariance_symbolic():
     for mk in (cat.levy_leblond, cat.system_D110, cat.system_D210,
                cat.system_D221, cat.system_D311):

@@ -166,3 +166,13 @@ def test_zero_of_another_ring_raises():
         # the zero of the same ring, or of a ring equal to it, and scalar zeros pass
         for zero in (x.ring.zero, PolyRing(("x",)).zero, 0, ZERO):
             assert op(x, zero) == x
+
+
+def test_reduce_relation():
+    c, s = PolyRing(("c", "s")).syms("c", "s")
+    rel = 1 - s * s
+    assert (c ** 4).reduce_relation("c", rel) == rel * rel
+    assert (c ** 3 * s).reduce_relation("c", rel) == c * s * rel
+    # a replacement of degree >= 2 in the name would not reach degree <= 1
+    with pytest.raises(ValueError):
+        (c ** 4).reduce_relation("c", c * c + 1)
