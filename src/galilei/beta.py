@@ -47,7 +47,7 @@ from .matrix import (
     dot,
     linear_kernel,
 )
-from .poly import PolyRing, Poly
+from .poly import Poly
 from .reps import (
     Representation,
     boost_blocks,
@@ -234,10 +234,10 @@ class BetaSystem:
     def dim(self):
         return self.rep.dim
 
-    def operator(self, ring: PolyRing, momenta=("p0", "p1", "p2", "p3"), mass="m") -> Matrix:
-        """The wave operator beta_mu p^mu + beta4 m as a Poly matrix."""
-        return dot([self.beta0, *self.betas, self.beta4],
-                   [ring.sym(n) for n in (*momenta, mass)], ring)
+    def operator(self, p, target) -> Matrix:
+        """The wave operator L = beta0 p[0] + sum_a beta_a p[a] + beta4 p[4]
+        at five given values p over target, a PolyRing or a WeylAlgebra."""
+        return dot([self.beta0, *self.betas, self.beta4], p, target)
 
 
 # snapshots of the (N, M, A, B, C, R, E) inputs whose system passed

@@ -20,8 +20,6 @@ Convention notes (exactness forced these choices; see the module tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .scalars import GRat, ZERO, ONE, HALF, I, UsageError
 from .matrix import Matrix, det, dot, nullspace, evaluate_matrix
 from .poly import PolyRing, Poly
@@ -64,9 +62,9 @@ def gamma_hat():
     return [g0, gs[0], gs[1], gs[2], g4]
 
 
-def check_clifford(gammas, metric=None) -> dict:
+def check_clifford(gammas) -> dict:
     """gamma_n gamma_m + gamma_m gamma_n = 2 g_nm on all 25 pairs."""
-    g = metric if metric is not None else galilean_metric()
+    g = galilean_metric()
     n = gammas[0].rows
     bad = []
     for a in range(5):
@@ -78,7 +76,7 @@ def check_clifford(gammas, metric=None) -> dict:
     return {"ok": not bad, "violations": bad}
 
 
-def check_galilean_dkp(betas, metric=None) -> dict:
+def check_galilean_dkp(betas) -> dict:
     """b_m b_n b_s + b_s b_n b_m = g_mn b_s + g_sn b_m, all 125 triples.
 
     This is the standard trilinear normalisation; the variant with a
@@ -86,7 +84,7 @@ def check_galilean_dkp(betas, metric=None) -> dict:
     of these sets (the relation is cubic on the left and linear on the
     right), so the factor printed in the source is unusable as stated.
     """
-    g = metric if metric is not None else galilean_metric()
+    g = galilean_metric()
     bad = []
     for m in range(5):
         for n in range(5):
@@ -211,8 +209,7 @@ def dkp_spin0_algebra_set():
     return out
 
 
-@dataclass
-class DkpSpin0System:
+def dkp_spin0_system(c=GRat(1)) -> BetaSystem:
     """The six-component spin-0 wave system in the five-vector basis.
 
     Operator: beta0 p0 + beta_a p^a + beta4 m with beta0 = B^4,
@@ -220,23 +217,10 @@ class DkpSpin0System:
     is Galilei invariant under the five-vector (+) scalar carrier; it is
     not of the hermitizable class, so the invariance conditions with
     daggers do not apply to it (its algebra is the trilinear one
-    instead).  Block data in its own basis drive the spin analysis.
+    instead).  Its R, F, E, G blocks, in its own basis, drive the spin
+    analysis: the vector sector is slots 2..4, the scalar sector slots
+    (1, 5, 6).
     """
-
-    c: GRat
-    beta0: Matrix
-    betas: list
-    beta4: Matrix
-    rep: Representation
-    blocks: dict
-    name: str = "dkp_spin0"
-
-    @property
-    def dim(self):
-        return 6
-
-
-def dkp_spin0_system(c=GRat(1)) -> DkpSpin0System:
     if not c:
         raise ValueError("the mass-shift constant must be nonzero")
     B = dkp_spin0_algebra_set()
@@ -247,15 +231,10 @@ def dkp_spin0_system(c=GRat(1)) -> DkpSpin0System:
     S = [Matrix.direct_sum([Matrix.zeros(1, 1), spin1_matrix(a), Matrix.zeros(2, 2)])
          for a in range(3)]
     rep = Representation((RepLabel("D", 1, 2, 1), RepLabel("D", 0, 1, 0)), S, eta)
-    # block data in the five-vector basis: vector sector = slots 2..4,
-    # scalar sector = slots (1, 5, 6)
     scal = (0, 4, 5)
-    R = Matrix([[c]])
-    F = Matrix([[ZERO]])
-    E = Matrix([[beta4[i, j] for j in scal] for i in scal])
-    G = Matrix([[beta0[i, j] for j in scal] for i in scal])
-    return DkpSpin0System(c, beta0, betas, beta4, rep,
-                          {"R": R, "E": E, "F": F, "G": G, "scalar_slots": scal})
+    blocks = {"R": Matrix([[c]]), "F": Matrix([[ZERO]]),
+              "E": beta4.submatrix(scal, scal), "G": beta0.submatrix(scal, scal)}
+    return BetaSystem("dkp_spin0", rep, beta0, betas, beta4, blocks=blocks)
 
 
 def nied_dkp_10() -> list:
@@ -328,12 +307,12 @@ def proca_contraction_identity(ring=None) -> bool:
     return Matrix([lower]) @ proca_operator(ring) == Matrix([[ring.zero] * 4 + [lam * m * m]])
 
 
-def proca_rest_frame_solutions(lam_val=GRat(1), m_val=GRat(1)) -> dict:
-    """Nullspace analysis at spatial momentum zero."""
+def proca_rest_frame_solutions() -> dict:
+    """Nullspace analysis at spatial momentum zero, at m = lam = 1."""
     ring = proca_ring()
     W = proca_operator(ring)
     # on shell: 2 m p0 - p^2 = 0 -> p0 = 0 in the rest frame
-    at = {"p0": ZERO, "p1": ZERO, "p2": ZERO, "p3": ZERO, "m": m_val, "lam": lam_val}
+    at = {"p0": ZERO, "p1": ZERO, "p2": ZERO, "p3": ZERO, "m": ONE, "lam": ONE}
     W0 = evaluate_matrix(W, at)
     ns = nullspace(W0)
     return {"dimension": len(ns), "vectors": ns}
@@ -471,7 +450,7 @@ def dkp_contraction() -> dict:
     rwb = (0, 1, 2, 6, 7, 8, 9)
     main = lead.submatrix(rwb, rwb)
     aux = lead.submatrix(range(3, 6), range(10))
-    L = system_D210().operator(ring, momenta=("pt0", "pt1", "pt2", "pt3"))
+    L = system_D210().operator(ring.syms("pt0", "pt1", "pt2", "pt3", "m"), ring)
     sign_rows = Matrix.direct_sum([Matrix.identity(6, one, zero), Matrix([[-one]])])
     sign_cols = Matrix.direct_sum([i3, -i3, Matrix([[one]])])
     return {

@@ -129,12 +129,11 @@ def finite_boost_covariance(bs, symbolic=True, samples=0, seed=0) -> dict:
     """
     if not symbolic and samples < 1:
         raise ValueError(f"sampled covariance needs samples >= 1; got {samples}")
-    extra = getattr(bs, "params", ())
+    extra = bs.params
     ring = boost_ring(extra)
     T = group_element(bs.rep, ring)
-    mats = [bs.beta0, *bs.betas, bs.beta4]
-    p = [ring.sym(n) for n in ("p0", "p1", "p2", "p3", "m")]
-    resid = T.H @ dot(mats, boosted_momentum(ring), ring) @ T - dot(mats, p, ring)
+    resid = (T.H @ bs.operator(boosted_momentum(ring), ring) @ T
+             - bs.operator(ring.syms("p0", "p1", "p2", "p3", "m"), ring))
     if symbolic:
         return {"ok": resid.is_zero(), "mode": "symbolic"}
     import random

@@ -51,8 +51,7 @@ class CoupledOperator:
 def couple_minimal(bs, fc: FieldConfig, phys, spin_phys) -> CoupledOperator:
     """beta_mu pi^mu + beta4 pi^4 as a Weyl-element matrix."""
     alg = fc.algebra
-    out = dot([bs.beta0, *bs.betas, bs.beta4], fc.pis(), alg)
-    return CoupledOperator(out, alg, bs.rep, fc, tuple(phys), spin_phys)
+    return CoupledOperator(bs.operator(fc.pis(), alg), alg, bs.rep, fc, tuple(phys), spin_phys)
 
 
 def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
@@ -407,7 +406,7 @@ def hamiltonian_named(report: ReductionReport) -> dict:
 # -- the interacting five-vector system ------------------------------------------
 
 
-def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
+def proca_interacting(fc: FieldConfig) -> dict:
     """The minimally coupled five-vector system, the similarity variable
     change, exact elimination for source-free fields, and the reduced
     operator on the spatial triplet.
@@ -426,7 +425,7 @@ def proca_interacting(fc: FieldConfig, lam="lam") -> dict:
     minv = alg.sym("m", -1)
     pi2 = sum((p * p for p in pis[1:4]), alg.zero)
     # the field term 2 i (eF)^{mk} g_kn acts on psi with its index lowered
-    W = (five_vector_operator(pis, alg.sym(lam) * m, alg.zero)
+    W = (five_vector_operator(pis, alg.sym("lam") * m, alg.zero)
          + field_strength(fc) @ galilean_metric().lift(alg) * (I * 2))
     # variable change: psi_hat = T psi with the five-vector boost at -pi/m
     one, zero = alg.one, alg.zero

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import matmul
 
 from .scalars import GRat, ZERO, HALF, I
 from .matrix import Matrix, det, dot, nullspace, rank, nilpotent_exp, evaluate_matrix
 from .poly import PolyRing, Poly
 from .reps import Representation, cross
-from .beta import BetaSystem, free_symbols
+from .beta import BetaSystem
 
 
 # -- Casimir assembly -----------------------------------------------------------
@@ -73,10 +73,9 @@ def casimir_c3(rep: Representation, ring=None) -> Matrix:
     return out
 
 
-def diagonalize_casimir(rep: Representation, ring=None) -> dict:
+def diagonalize_casimir(rep: Representation) -> dict:
     """Conjugate C3 by W = exp((i/m) eta.p); assert C3' = m^2 S^2."""
-    if ring is None:
-        ring = casimir_ring()
+    ring = casimir_ring()
     p = [ring.sym(f"p{a+1}") for a in range(3)]
     minv = ring.sym("m", -1)
     m = ring.sym("m")
@@ -142,53 +141,36 @@ class SpinContentReport:
     notes: tuple = ()
 
 
+def _divisors(n):
+    """The positive divisors of a nonzero integer, by trial division."""
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.update((d, n // d))
+        d += 1
+    return out
+
+
 def _rational_roots(poly: Poly, var: str):
     """Exact rational roots of a univariate polynomial over GRat."""
     terms = {e[poly.ring.index[var]]: c for e, c in poly.terms.items()}
     if not terms:
         return None  # identically zero
-    degs = sorted(terms)
-    lo, hi = degs[0], degs[-1]
-    if lo > 0:
-        roots = {ZERO}
-    else:
-        roots = set()
-    # divide out e^lo, then rational-root search on the integer-cleared poly
+    lo = min(terms)
+    roots = {ZERO} if lo > 0 else set()
+    # divide out e^lo, then rational-root search on the integer-cleared poly,
+    # whose constant term is the nonzero coefficient of e^lo
     shifted = {d - lo: c for d, c in terms.items()}
     if max(shifted) == 0:
         return roots
     if any(not c.is_rational() for c in shifted.values()):
         raise ValueError("rational-root sweep needs rational coefficients")
-    from math import gcd
-
-    mult = 1
-    for c in shifted.values():
-        mult = mult * c.re.denominator // gcd(mult, c.re.denominator)
+    mult = lcm(*(c.re.denominator for c in shifted.values()))
     ints = {d: int(c.re * mult) for d, c in shifted.items()}
-    a0 = ints.get(0, 0)
-    an = ints[max(ints)]
-    if a0 == 0:
-        roots.add(ZERO)
-        while ints.get(0, 0) == 0:
-            ints = {d - 1: c for d, c in ints.items() if d > 0}
-        a0 = ints.get(0, 0)
-        if not ints:
-            return roots
-        an = ints[max(ints)]
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    dens = divisors(an)
-    for pn in divisors(a0):
+    dens = _divisors(ints[max(ints)])
+    for pn in _divisors(ints[0]):
         for qn in dens:
             for sgn in (1, -1):
                 cand = Fraction(sgn * pn, qn)
@@ -230,20 +212,11 @@ def dispersion(bs) -> Poly:
     ring = PolyRing(("u", "t"))
     u, t = ring.sym("u"), ring.sym("t")
     n2 = sum(c * c for c in DIRECTION)
-    f = det(dot([bs.beta0, *bs.betas, bs.beta4],
-                [(u + t * t * n2) * HALF, *(t * c for c in DIRECTION), ring.one], ring))
+    f = det(bs.operator([(u + t * t * n2) * HALF, *(t * c for c in DIRECTION), ring.one], ring))
     if f.degree_in("t"):
         raise ValueError(f"system {bs.name} is not Galilei invariant: det L along "
                          f"p = t {DIRECTION} depends on t beyond 2 m p0 - p^2")
     return f
-
-
-def _require_numeric(bs):
-    """ValueError naming the free parameters of a system with symbolic entries."""
-    free = free_symbols(bs)
-    if free:
-        raise ValueError(f"system {bs.name} has free parameters {', '.join(free)}; "
-                         "substitute rational values with spin.generic_instance first")
 
 
 def spin_content(bs) -> SpinContentReport:
@@ -258,6 +231,14 @@ def spin_content(bs) -> SpinContentReport:
     blocks: its pencil is beta0 e + 2 beta4 (m = 1), classified by S^2
     on the kernel.  Only rational energies are found.
 
+    ``consistent_spin1`` and ``consistent_spin0`` are the rank conditions
+    for single-particle consistency at each root e of that spin's pencil:
+
+        spin 1: rank(eF + 2R) = n - 1 and rank(eG + 2E) = m
+        spin 0: rank(eF + 2R) = n and rank(eG + 2E) = m - 1
+
+    They are false when the pencil has no root, and on the spinor system.
+
     ``two_route_equal`` is the dispersion identity: f = dispersion(bs)
     is not identically zero and equals lc(f) prod (u - epsilon)^mult over
     the branches, i.e. the states at each energy number its multiplicity
@@ -265,10 +246,12 @@ def spin_content(bs) -> SpinContentReport:
     degree of det L.  ``dispersion`` raises ValueError if det L is not a
     function of u alone, the one place beta_a is read.
     """
-    _require_numeric(bs)
+    if bs.params:
+        raise ValueError(f"system {bs.name} has free parameters {', '.join(bs.params)}; "
+                         "substitute rational values with spin.generic_instance first")
     notes = []
-    blocks = getattr(bs, "blocks", None)
-    if blocks and "R" in blocks:
+    blocks = bs.blocks
+    if blocks:
         vec = _pencil(blocks["F"], blocks["R"], 2)
         sc = _pencil(blocks["G"], blocks["E"], 2)
         branches = []
@@ -278,8 +261,10 @@ def spin_content(bs) -> SpinContentReport:
                 notes.append(f"{kind} pencil identically singular: no particle content branch")
                 continue
             branches += [Branch(spin, r, states * len(ker)) for r, ker in roots.items()]
-        c1 = _particle_conditions(blocks, 1, vec)
-        c0 = _particle_conditions(blocks, 0, sc)
+        c1, c0 = (bool(roots) and all(len(ker) == 1 and rank(A * e + B * GRat(2)) == A.rows
+                                      for e, ker in roots.items())
+                  for roots, A, B in ((vec, blocks["G"], blocks["E"]),
+                                      (sc, blocks["F"], blocks["R"])))
     else:
         branches = [b for r, ker in (_pencil(bs.beta0, bs.beta4, 2) or {}).items()
                     for b in _classify_by_spin(bs.rep, ker, r)]
@@ -317,42 +302,11 @@ def _classify_by_spin(rep: Representation, kernel_vectors, epsilon):
     return out
 
 
-def check_particle_conditions(bs, spin: int) -> bool:
-    """Rank conditions for single-particle consistency at the content-
-    bearing internal energy:
-
-        spin 1: rank(eF + 2R) = n - 1 and rank(eG + 2E) = m
-        spin 0: rank(eF + 2R) = n and rank(eG + 2E) = m - 1
-
-    evaluated at each root of the requested spin's pencil; false when
-    there is none.  The entries must be rational: a system with free
-    parameters is a ValueError (substitute with ``generic_instance``), and
-    so is one with no F, R, G, E sector blocks, such as the spinor system.
-    """
-    _require_numeric(bs)
-    b = bs.blocks
-    if not b:
-        raise ValueError(f"system {bs.name} has no sector blocks; "
-                         "the rank conditions need its F, R, G and E blocks")
-    roots = _pencil(b["F"], b["R"], 2) if spin == 1 else _pencil(b["G"], b["E"], 2)
-    return _particle_conditions(b, spin, roots)
-
-
-def _particle_conditions(blocks, spin: int, roots) -> bool:
-    """The rank conditions, given the requested spin's pencil roots: a
-    one-dimensional kernel there, and the other sector's pencil regular."""
-    A, B = (blocks["G"], blocks["E"]) if spin == 1 else (blocks["F"], blocks["R"])
-    return bool(roots) and all(len(ker) == 1 and rank(A * e + B * GRat(2)) == A.rows
-                               for e, ker in roots.items())
-
-
 def generic_instance(bs: BetaSystem, values: dict) -> BetaSystem:
     """Substitute rational values for symbolic parameters, exactly."""
     def sub(mat):
-        if not isinstance(mat, Matrix):
-            return mat
-        return mat.map(lambda x: x.eval(values) if isinstance(x, Poly) else x)
+        return evaluate_matrix(mat, values)
 
-    blocks = {k: sub(v) for k, v in bs.blocks.items()} if bs.blocks else {}
     return BetaSystem(bs.name, bs.rep, sub(bs.beta0), [sub(b) for b in bs.betas],
-                      sub(bs.beta4), carrier=bs.carrier, blocks=blocks)
+                      sub(bs.beta4), carrier=bs.carrier,
+                      blocks={k: sub(v) for k, v in bs.blocks.items()})

@@ -230,7 +230,7 @@ def test_dkp_contraction():
     # the contraction lands on D(2,1,0) up to row and column signs, not on
     # its operator L itself
     ring = PolyRing(("eps", "pt0", "pt1", "pt2", "pt3", "m"), invertible=("eps",))
-    L = cat.system_D210().operator(ring, momenta=("pt0", "pt1", "pt2", "pt3"))
+    L = cat.system_D210().operator(ring.syms("pt0", "pt1", "pt2", "pt3", "m"), ring)
     rows = Matrix.direct_sum([Matrix.identity(6), Matrix([[-ONE]])]).lift(ring)
     cols = Matrix.direct_sum([Matrix.identity(3), -Matrix.identity(3),
                               Matrix.identity(1)]).lift(ring)

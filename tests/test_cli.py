@@ -147,6 +147,24 @@ def test_spin_golden(capsys, system):
     assert hashlib.sha256(out.encode()).hexdigest() == SPIN_GOLDEN[system]
 
 
+# sha256 of the two dkp_spin0 outputs no other digest covers, with their exit
+# codes, recorded before dkp_spin0 became a BetaSystem; covariance exits 1
+# because T^H L T = L fails on a system outside the hermitizable class
+DKP_SPIN0_GOLDEN = [
+    (["catalog", "--name", "dkp_spin0"], 0,
+     "249a6dae4fc1dcafe51bae6dec09f7b6e25bb245da8d64edaf4c3d24ae263470"),
+    (["covariance", "--system", "dkp_spin0"], 1,
+     "20edf7de39990871356fefdd1ca5df11479dac71706cbae405c495cf266adc6b"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", DKP_SPIN0_GOLDEN)
+def test_dkp_spin0_golden(capsys, argv, code, digest):
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_error(capsys):
     rc, out, err = run_cli(
         ["reduce", "--system", "levy_leblond", "--A0", "x1*x2*x3"], capsys)

@@ -15,7 +15,6 @@ from galilei.spin import (
     c2_is_central,
     casimir_c3,
     casimir_ring,
-    check_particle_conditions,
     diagonalize_casimir,
     dispersion,
     generic_instance,
@@ -162,29 +161,26 @@ def test_dispersion_at_a_generic_hermitian_point(key):
     assert f.degree_in("t") == 0
 
 
+def _verdicts(bs):
+    rep = spin_content(bs)
+    return rep.consistent_spin1, rep.consistent_spin0
+
+
 def test_particle_conditions():
-    assert check_particle_conditions(cat.system_D210(), 1)
-    assert not check_particle_conditions(cat.system_D210(), 0)
+    assert _verdicts(cat.system_D210()) == (True, False)
     # the eight-component system fails both rank conditions
-    assert not check_particle_conditions(cat.system_D221(), 1)
-    assert not check_particle_conditions(cat.system_D221(), 0)
-    inst = generic_instance(cat.system_D311(), {"nu": GRat(2)})
-    assert check_particle_conditions(inst, 1)
-    assert check_particle_conditions(cat.dkp_spin0_system(), 0)
+    assert _verdicts(cat.system_D221()) == (False, False)
+    assert _verdicts(generic_instance(cat.system_D311(), {"nu": GRat(2)})) == (True, False)
+    assert _verdicts(cat.dkp_spin0_system()) == (False, True)
     # the four-component system is a consistent spin-0 particle
-    assert check_particle_conditions(cat.system_D110(), 0)
-    assert not check_particle_conditions(cat.system_D110(), 1)
+    assert _verdicts(cat.system_D110()) == (False, True)
+    # the spinor system has no sector blocks to rank
+    assert _verdicts(cat.levy_leblond()) == (False, False)
 
 
 def test_symbolic_system_is_refused_with_its_free_parameters():
-    for check in (spin_content, lambda bs: check_particle_conditions(bs, 1)):
-        with pytest.raises(ValueError, match=r"free parameters nu; .*generic_instance"):
-            check(cat.system_D311())
-
-
-def test_particle_conditions_refuse_a_system_without_sector_blocks():
-    with pytest.raises(ValueError, match=r"levy_leblond has no sector blocks; .*F, R, G and E"):
-        check_particle_conditions(cat.levy_leblond(), 1)
+    with pytest.raises(ValueError, match=r"free parameters nu; .*generic_instance"):
+        spin_content(cat.system_D311())
 
 
 def test_multiplicity_bounded_by_dimension():
