@@ -13,25 +13,43 @@ conditions
     eta_a^H beta0 - beta0 eta_a = 0
 
 are linear in those blocks, so the full solution space is an exact
-nullspace computation.  Rather than trusting any printed closed-form
-reduction, the solver builds the residuals from the actual carrier
-matrices and solves; the derived-block formulas are then read off the
-solution (and are also exposed directly for assembly).
+nullspace computation, built from the actual carrier matrices rather
+than from any printed closed-form reduction.  The unknowns are R and E
+alone: the other five blocks are functions of them (``derived_blocks``).
 
-The solver imposes only the a = 0 component of each family: the first
-and third at a = 0 and the second at (a, b) = (0, b), b = 0, 1, 2.  The
-rest follow by rotation covariance.  For X mapping the right carrier
-into the left one write [S_c, X] for S_c X - X S_c', with S and S' the
-left and right carrier's rotations.  The identities
-[s_c, s_a] = i eps_cad s_d, s_c k_a^H = i eps_cad k_d^H and
--k_a s_c = i eps_cad k_d make eta_a (and so eta_a^H, as S is hermitian)
-and beta_a a vector operator, [S_c, V_a] = i eps_cad V_d, whatever A,
-B, C and H, M, N are, and beta0, beta4 commute with S whatever F, G,
-R, E are.  So the first and third residuals are vectors and the second
-is a rank-2 tensor T_ab.  A vector with V_0 = 0 has, from c = 1, 2,
-V_2 = V_1 = 0; a tensor with T_0b = 0 for every b has T_2b = T_1b = 0
-the same way.  The five imposed residuals therefore cut out the same
-space as all fifteen; ``verify_conditions`` still checks all fifteen.
+Rotation covariance.  Only the a = 0 component of each family needs
+imposing: the first and third at a = 0 and the second at (a, b) =
+(0, b), b = 0, 1, 2.  For X mapping the right carrier into the left
+one write [S_c, X] for S_c X - X S_c', with S and S' the left and right
+carrier's rotations.  The identities [s_c, s_a] = i eps_cad s_d,
+s_c k_a^H = i eps_cad k_d^H and -k_a s_c = i eps_cad k_d make eta_a
+(and so eta_a^H, as S is hermitian) and beta_a a vector operator,
+[S_c, V_a] = i eps_cad V_d, whatever A, B, C and H, M, N are, and
+beta0, beta4 commute with S whatever F, G, R, E are.  So the first and
+third residuals are vectors and the second is a rank-2 tensor T_ab.  A
+vector with V_0 = 0 has, from c = 1, 2, V_2 = V_1 = 0; a tensor with
+T_0b = 0 for every b has T_2b = T_1b = 0 the same way.
+``verify_conditions`` still checks all fifteen.
+
+Elimination.  With s_0^2 = diag(0, 1, 1), k_0^H k_0 = diag(1, 0, 0) and
+k_0 k_0^H = 1, the block pattern gives
+
+    eta_0^H beta4 - beta4 eta_0
+        = boost_blocks(A^H R - R A', C^H E - R B', B^H R - E C', 0),
+
+so the first family at a = 0 says exactly H = A^H R - R A',
+M = C^H E - R B', N = B^H R - E C': with those blocks it is an identity
+in R and E, and it is not imposed.  The second family at (0, 0) fixes
+beta0 = -(eta_0^H b_0 - b_0 eta_0), b_0 = beta_0 / i.  Its scalar block
+gives G = N B' - B^H M, and its triplet block gives F twice, as
+H A' - A^H H off the k_0 axis and as M C' - C^H N on it.  Substituting
+H, M, N and A^2 = -BC, the scalar value is derived_blocks' G
+identically, and the mean of the two triplet values is derived_blocks'
+F identically.  Every solution has the two equal, so its F and G are
+derived_blocks'.  Solving over (R, E) with all five other blocks
+substituted therefore cuts out the same (R, E) space as solving over
+all seven blocks, and the four remaining residuals (third family at
+a = 0, second at (0, b)) are imposed.
 """
 
 from __future__ import annotations
@@ -120,7 +138,13 @@ def beta_from_blocks(R, E, F, G, H, M, N, ring=None):
 
 
 def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
-    """H, M, N, F, G determined by (R, E) through the invariance conditions."""
+    """H, M, N, F, G determined by (R, E) through the invariance conditions.
+
+    H, M, N are what the first family at a = 0 says, so with them it holds
+    identically.  G is what the second family at (0, 0) says; F is the mean
+    of its two values there (off and on the k_0 axis), which agree on every
+    solution (module docstring).  R and E may hold Poly entries.
+    """
     A, B, C = car_l.A, car_l.B, car_l.C
     Ap, Bp, Cp = car_r.A, car_r.B, car_r.C
     H = A.H @ R - R @ Ap
@@ -169,10 +193,14 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     the adjoint) and default to the plain solve; asking for hermiticity
     on a cross pair is a ValueError.
 
-    Only the a = 0 component of each condition family is imposed, five
-    residuals instead of fifteen; rotation covariance makes the rest
-    vanish with them (module docstring).  The second family is imposed
-    divided by i, on beta_b / i, which has the same solutions.
+    The unknowns are R and E; H, M, N, F and G come from
+    ``derived_blocks``.  That makes the first family at a = 0 an identity,
+    so it is dropped, and it leaves each solution's F and G unchanged, as
+    every solution has the ones ``derived_blocks`` gives (module
+    docstring).  Of the other families only the a = 0 components are
+    imposed, four residuals; rotation covariance makes the rest vanish
+    with them.  The second family is imposed divided by i, on beta_b / i,
+    which has the same solutions.
     """
     car_l = carrier_for(left) if not isinstance(left, VectorCarrier) else left
     car_r = carrier_for(right) if not isinstance(right, VectorCarrier) else right
@@ -185,10 +213,10 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     r_shape, e_shape = (car_l.N, car_r.N), (car_l.M, car_r.M)
     eta_l_h, eta_r = car_l.eta(0).H, car_r.eta(0)
 
-    def apply(R, E, F, G, H, M, N):
-        beta0, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N)
-        out = [eta_l_h @ beta4 - beta4 @ eta_r - b_over_i[0],
-               eta_l_h @ beta0 - beta0 @ eta_r,
+    def apply(R, E):
+        H, M, N, F, G = derived_blocks(car_l, car_r, R, E)
+        beta0, b_over_i, _ = beta_from_blocks(R, E, F, G, H, M, N)
+        out = [eta_l_h @ beta0 - beta0 @ eta_r,
                eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
         out += [eta_l_h @ b - b @ eta_r for b in b_over_i[1:]]
         if hermitian:
@@ -197,9 +225,8 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
             out += [R - R.T, E - E.T, F - F.T, G - G.T, H + H.T, M + N.T]
         return out
 
-    sols = linear_kernel(apply, [r_shape, e_shape, r_shape, e_shape, r_shape,
-                                 (car_l.N, car_r.M), (car_l.M, car_r.N)])
-    span = canonical_span([_flatten_re(R, E) for R, E, *_ in sols],
+    sols = linear_kernel(apply, [r_shape, e_shape])
+    span = canonical_span([_flatten_re(R, E) for R, E in sols],
                           r_shape[0] * r_shape[1] + e_shape[0] * e_shape[1])
     basis = [_unflatten(vec, [r_shape, e_shape]) for vec in span.entries]
     return SolutionSpace(car_l.labels, car_r.labels, r_shape, e_shape, basis, hermitian)

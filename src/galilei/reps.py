@@ -41,18 +41,24 @@ def cross(u, v, mul=operator.mul) -> list:
     return [mul(u[b], v[c]) - mul(u[c], v[b]) for b, c in ((1, 2), (2, 0), (0, 1))]
 
 
-def spin1_matrix(a: int) -> Matrix:
-    """(s_a)_bc = -i eps_abc, the spin-1 matrices with [s_a,s_b] = i eps_abc s_c.
+# (s_a)_bc = -i eps_abc, the spin-1 matrices with [s_a,s_b] = i eps_abc s_c.
+# (The opposite sign convention does not satisfy the commutation relation it
+# is paired with, so it is not usable here.)  Built once and shared, as no
+# caller writes to a returned matrix's entries.
+SPIN1 = [Matrix([[-I * eps(a, b, c) for c in range(3)] for b in range(3)]) for a in range(3)]
 
-    (The opposite sign convention does not satisfy the commutation
-    relation it is paired with, so it is not usable here.)
-    """
-    return Matrix([[-I * eps(a, b, c) for c in range(3)] for b in range(3)])
+# k_a: the 1x3 row with i in slot a
+K_ROWS = [Matrix([[I if c == a else ZERO for c in range(3)]]) for a in range(3)]
+
+
+def spin1_matrix(a: int) -> Matrix:
+    """s_a, the shared ``SPIN1[a]``."""
+    return SPIN1[a]
 
 
 def k_row(a: int) -> Matrix:
-    """k_a: the 1x3 row with i in slot a."""
-    return Matrix([[I if c == a else ZERO for c in range(3)]])
+    """k_a, the shared ``K_ROWS[a]``."""
+    return K_ROWS[a]
 
 
 S1_SPIN = [Matrix([[ZERO, HALF], [HALF, ZERO]]),

@@ -15,11 +15,20 @@ from galilei.beta import (
     solve_beta4_space,
     verify_conditions,
 )
-from galilei.matrix import Matrix
+from galilei.matrix import Matrix, _unflatten, canonical_span, linear_kernel
 from galilei.poly import PolyRing
 from galilei.reps import TABLE1, eps, verify_hg
-from galilei.scalars import GRat, I, ONE, ZERO
+from galilei.scalars import GRat, HALF, I, ONE, ZERO
 from galilei import catalog as cat
+
+
+LABELS = [f"D({n},{m},{lam})" for n, m, lam in sorted(TABLE1)]
+# every Table-1 pair, the ten self pairs without hermiticity, and two
+# direct sums (a self pair and a cross pair)
+SOLVE_CASES = ([(a, b, None) for a in LABELS for b in LABELS]
+               + [(a, a, False) for a in LABELS]
+               + [("D(1,1,0)+D(0,1,0)", "D(1,1,0)+D(0,1,0)", None),
+                  ("D(2,1,0)+D(1,0,0)", "D(1,1,1)", None)])
 
 
 def test_solution_space_dims():
@@ -41,7 +50,7 @@ def _random_matrix(rng, rows, cols):
 
 
 def test_blocks_make_rotation_tensors_whatever_their_values():
-    # the premise of the five-residual solve: for any blocks, eta_a and
+    # the premise of the four-residual solve: for any blocks, eta_a and
     # beta_a / i are vector operators and beta0, beta4 commute with S, so
     # each condition family is a rotation vector or tensor
     rng = random.Random(15)
@@ -68,12 +77,10 @@ def test_blocks_make_rotation_tensors_whatever_their_values():
 
 
 def test_solutions_satisfy_all_fifteen_condition_families():
-    # the solve imposes five residuals; a subset of the equations can only
+    # the solve imposes four residuals; a subset of the equations can only
     # enlarge the space, so every basis vector meeting all fifteen shows it
     # is no larger
-    labels = [f"D({n},{m},{lam})" for n, m, lam in sorted(TABLE1)]
-    cases = [(a, b, None) for a in labels for b in labels] + [(a, a, False) for a in labels]
-    for left, right, hermitian in cases:
+    for left, right, hermitian in SOLVE_CASES:
         car_l, car_r = carrier_for(left), carrier_for(right)
         etas_l_h = [car_l.eta(a).H for a in range(3)]
         etas_r = [car_r.eta(a) for a in range(3)]
@@ -90,6 +97,106 @@ def test_solutions_satisfy_all_fifteen_condition_families():
                     if a == b:
                         resid = resid + beta0 * I
                     assert resid.is_zero(), (*where, b)
+
+
+def _seven_block_basis(left, right, hermitian):
+    """The (R, E) basis solved over all seven blocks R, E, F, G, H, M, N,
+    with the family-1 residual imposed: a second route to the solve."""
+    car_l, car_r = carrier_for(left), carrier_for(right)
+    if hermitian is None:
+        hermitian = car_l.labels == car_r.labels
+    r_shape, e_shape = (car_l.N, car_r.N), (car_l.M, car_r.M)
+    eta_l_h, eta_r = car_l.eta(0).H, car_r.eta(0)
+
+    def apply(R, E, F, G, H, M, N):
+        beta0, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N)
+        out = [eta_l_h @ beta4 - beta4 @ eta_r - b_over_i[0],
+               eta_l_h @ beta0 - beta0 @ eta_r,
+               eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
+        out += [eta_l_h @ b - b @ eta_r for b in b_over_i[1:]]
+        if hermitian:
+            out += [R - R.T, E - E.T, F - F.T, G - G.T, H + H.T, M + N.T]
+        return out
+
+    sols = linear_kernel(apply, [r_shape, e_shape, r_shape, e_shape, r_shape,
+                                 (car_l.N, car_r.M), (car_l.M, car_r.N)])
+    span = canonical_span([tuple(x for m in (R, E) for row in m.entries for x in row)
+                           for R, E, *_ in sols],
+                          r_shape[0] * r_shape[1] + e_shape[0] * e_shape[1])
+    return [_unflatten(vec, [r_shape, e_shape]) for vec in span.entries]
+
+
+def _basis_text(basis):
+    return repr([(R.entries, E.entries) for R, E in basis])
+
+
+@pytest.fixture(scope="module")
+def seven_block_bases():
+    return {case: _basis_text(_seven_block_basis(*case)) for case in SOLVE_CASES}
+
+
+def test_solve_matches_the_seven_block_reference(seven_block_bases):
+    for case in SOLVE_CASES:
+        assert _basis_text(solve_beta4_space(*case).basis) == seven_block_bases[case], case
+
+
+@pytest.mark.parametrize("block", ["H", "G"])
+def test_seven_block_reference_sees_a_wrong_derived_block(seven_block_bases, monkeypatch,
+                                                          block):
+    # mutation check: the (R, E) solve trusts derived_blocks, so a wrong H
+    # (the dropped family-1 residual) or a wrong G (the family-2 residual)
+    # must move some basis away from the seven-block route
+    real = beta_mod.derived_blocks
+    at = "HMNFG".index(block)
+
+    def doubled(car_l, car_r, R, E):
+        blocks = list(real(car_l, car_r, R, E))
+        blocks[at] = blocks[at] * GRat(2)
+        return tuple(blocks)
+
+    monkeypatch.setattr(beta_mod, "derived_blocks", doubled)
+    assert any(_basis_text(solve_beta4_space(*case).basis) != seven_block_bases[case]
+               for case in SOLVE_CASES)
+
+
+def _symbolic_blocks(car_l, car_r):
+    ring = PolyRing([f"{b}{i}_{j}" for b, (r, c) in
+                     (("r", (car_l.N, car_r.N)), ("e", (car_l.M, car_r.M)))
+                     for i in range(r) for j in range(c)])
+    syms = [ring.sym(n) for n in ring.names]
+    R, E = _unflatten(syms, [(car_l.N, car_r.N), (car_l.M, car_r.M)])
+    return ring, R, E, derived_blocks(car_l, car_r, R, E)
+
+
+def test_family1_is_an_identity_in_r_and_e():
+    # with H, M, N from derived_blocks the first family vanishes for every
+    # R, E, which is why the solve does not impose it
+    for left, right, _ in SOLVE_CASES:
+        car_l, car_r = carrier_for(left), carrier_for(right)
+        ring, R, E, (H, M, N, F, G) = _symbolic_blocks(car_l, car_r)
+        _, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N, ring=ring)
+        for a in range(3):
+            resid = car_l.eta(a).H @ beta4 - beta4 @ car_r.eta(a) - b_over_i[a]
+            assert resid.is_zero(), (left, right, a)
+
+
+def test_family2_forces_the_derived_f_and_g():
+    # eta_0^H (beta_0 / i) - (beta_0 / i) eta_0 + beta0 = 0 fixes beta0: its
+    # triplet block gives F once on the k_0 axis (slot 0) and once off it
+    # (slot 1), and derived_blocks' F is their mean, so the two agree with
+    # it on every solution; its scalar block gives derived_blocks' G
+    for left, right, _ in SOLVE_CASES:
+        car_l, car_r = carrier_for(left), carrier_for(right)
+        ring, R, E, (H, M, N, F, G) = _symbolic_blocks(car_l, car_r)
+        _, b_over_i, _ = beta_from_blocks(R, E, F, G, H, M, N, ring=ring)
+        X = car_l.eta(0).H @ b_over_i[0] - b_over_i[0] @ car_r.eta(0)
+        for i in range(car_l.N):
+            for j in range(car_r.N):
+                on_axis, off_axis = X[3 * i, 3 * j], X[3 * i + 1, 3 * j + 1]
+                assert not F[i, j] + (on_axis + off_axis) * HALF, (left, right)
+        for i in range(car_l.M):
+            for j in range(car_r.M):
+                assert not G[i, j] + X[3 * car_l.N + i, 3 * car_r.N + j], (left, right)
 
 
 def test_hermitian_cross_pair_is_rejected():
