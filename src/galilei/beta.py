@@ -17,18 +17,26 @@ nullspace computation, built from the actual carrier matrices rather
 than from any printed closed-form reduction.  The unknowns are R and E
 alone: the other five blocks are functions of them (``derived_blocks``).
 
-Rotation covariance.  Only the a = 0 component of each family needs
-imposing: the first and third at a = 0 and the second at (a, b) =
-(0, b), b = 0, 1, 2.  For X mapping the right carrier into the left
-one write [S_c, X] for S_c X - X S_c', with S and S' the left and right
-carrier's rotations.  The identities [s_c, s_a] = i eps_cad s_d,
+Rotation covariance.  Only the a = 0 components of the first and
+second families need imposing: the first at a = 0 and the second at
+(a, b) = (0, b), b = 0, 1, 2.  For X mapping the right carrier into the
+left one write [S_c, X] for S_c X - X S_c', with S and S' the left and
+right carrier's rotations.  The identities [s_c, s_a] = i eps_cad s_d,
 s_c k_a^H = i eps_cad k_d^H and -k_a s_c = i eps_cad k_d make eta_a
 (and so eta_a^H, as S is hermitian) and beta_a a vector operator,
 [S_c, V_a] = i eps_cad V_d, whatever A, B, C and H, M, N are, and
-beta0, beta4 commute with S whatever F, G, R, E are.  So the first and
-third residuals are vectors and the second is a rank-2 tensor T_ab.  A
-vector with V_0 = 0 has, from c = 1, 2, V_2 = V_1 = 0; a tensor with
-T_0b = 0 for every b has T_2b = T_1b = 0 the same way.
+beta0, beta4 commute with S whatever F, G, R, E are.  So the first
+residual is a vector and the second a rank-2 tensor T_ab.  A vector
+with V_0 = 0 has, from c = 1, 2, V_2 = V_1 = 0; a tensor with T_0b = 0
+for every b has T_2b = T_1b = 0 the same way.
+
+The third family follows from the second.  Write D_a(X) = eta_a^H X -
+X eta_a'.  The boosts of each carrier commute ([eta_a, eta_b] = 0), so
+the D_a commute, and the second family, D_a(beta_b) = -i delta_ab beta0,
+gives for any c and some b != c
+
+    D_c(beta0) = i D_c D_b(beta_b) = i D_b D_c(beta_b) = 0.
+
 ``verify_conditions`` still checks all fifteen.
 
 Elimination.  With s_0^2 = diag(0, 1, 1), k_0^H k_0 = diag(1, 0, 0) and
@@ -48,8 +56,17 @@ identically, and the mean of the two triplet values is derived_blocks'
 F identically.  Every solution has the two equal, so its F and G are
 derived_blocks'.  Solving over (R, E) with all five other blocks
 substituted therefore cuts out the same (R, E) space as solving over
-all seven blocks, and the four remaining residuals (third family at
-a = 0, second at (0, b)) are imposed.
+all seven blocks, and the three remaining residuals (second family at
+(0, b)) are imposed.
+
+Hermiticity.  On a self pair the hermitian solve ties each block to its
+transpose: R, E, F, G symmetric, H antisymmetric and N = -M^T (the
+blocks are real, so dagger is transpose).  Only R - R^T and E - E^T are
+imposed.  Every carrier ``carrier_for`` builds has integer A, B, C, so
+A^H = A^T and so on, and for real symmetric R, E the blocks of
+``derived_blocks`` on a self pair meet the other four ties identically:
+H^T = R A - A^T R = -H, M^T = E C - B^T R = -N, and F = C^T E C + A^T R A
+and G = 2 B^T R B - B^T C^T E - E C B are symmetric.
 """
 
 from __future__ import annotations
@@ -197,10 +214,12 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     ``derived_blocks``.  That makes the first family at a = 0 an identity,
     so it is dropped, and it leaves each solution's F and G unchanged, as
     every solution has the ones ``derived_blocks`` gives (module
-    docstring).  Of the other families only the a = 0 components are
-    imposed, four residuals; rotation covariance makes the rest vanish
-    with them.  The second family is imposed divided by i, on beta_b / i,
-    which has the same solutions.
+    docstring).  Only the second family at (0, b) is imposed, three
+    residuals: rotation covariance makes its other components vanish with
+    them, and the whole second family implies the third.  It is imposed
+    divided by i, on beta_b / i, which has the same solutions.  A
+    hermitian solve adds R - R^T and E - E^T; the four other symmetry
+    ties then hold identically on these real carriers (module docstring).
     """
     car_l = carrier_for(left) if not isinstance(left, VectorCarrier) else left
     car_r = carrier_for(right) if not isinstance(right, VectorCarrier) else right
@@ -216,13 +235,10 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     def apply(R, E):
         H, M, N, F, G = derived_blocks(car_l, car_r, R, E)
         beta0, b_over_i, _ = beta_from_blocks(R, E, F, G, H, M, N)
-        out = [eta_l_h @ beta0 - beta0 @ eta_r,
-               eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
+        out = [eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
         out += [eta_l_h @ b - b @ eta_r for b in b_over_i[1:]]
         if hermitian:
-            # real-parameter hermiticity: R, E, F, G symmetric; H antisymmetric;
-            # N = -M^T (blocks are real, so dagger = transpose)
-            out += [R - R.T, E - E.T, F - F.T, G - G.T, H + H.T, M + N.T]
+            out += [R - R.T, E - E.T]
         return out
 
     sols = linear_kernel(apply, [r_shape, e_shape])
@@ -252,7 +268,6 @@ class BetaSystem:
     beta0: Matrix
     betas: list
     beta4: Matrix
-    carrier: VectorCarrier = None
     blocks: dict = field(default_factory=dict)
 
     params = property(free_symbols, doc="The free parameters: the symbols the entries use.")
@@ -297,7 +312,7 @@ def assemble(carrier, R: Matrix, E: Matrix, name="system") -> BetaSystem:
                  if isinstance(x, Poly)), None)
     beta0, b_over_i, beta4 = beta_from_blocks(R, E, F, G, H, M, N, ring=ring)
     betas = [b * I for b in b_over_i]
-    bs = BetaSystem(name, carrier.representation(), beta0, betas, beta4, carrier=carrier,
+    bs = BetaSystem(name, carrier.representation(), beta0, betas, beta4,
                     blocks={"R": R, "E": E, "F": F, "G": G, "H": H, "M": M, "N": N})
     if key not in _VERIFIED:
         rep = verify_conditions(bs)
@@ -371,6 +386,5 @@ def normalize_equivalence(bs: BetaSystem) -> dict:
         k = b4[0, 0]
         if k:
             notes.append("kappa is removable by the phase exp(i kappa m t), flagged only")
-    out = BetaSystem(bs.name + "+normalized", bs.rep, b0, bas, b4,
-                     carrier=bs.carrier, blocks=bs.blocks)
+    out = BetaSystem(bs.name + "+normalized", bs.rep, b0, bas, b4, blocks=bs.blocks)
     return {"system": out, "transform": W, "notes": notes}

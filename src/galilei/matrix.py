@@ -264,62 +264,96 @@ class Matrix:
 # -- elimination over the GRat field ------------------------------------------
 
 
+def _sparse(row) -> dict:
+    """A dense row as {col: value} over its nonzero entries."""
+    return {k: x for k, x in enumerate(row) if x}
+
+
+def _subtract(row, f, other):
+    """row -= f * other on sparse rows, in place, dropping the zeros it makes."""
+    for k, y in other.items():
+        x = row.get(k, ZERO) - f * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+class _Echelon:
+    """Sparse GRat rows {col: value} in reduced row echelon form: ``rows``
+    maps each pivot column to a row that is 1 there, 0 in every other pivot
+    column and 0 left of its pivot.  The reduced echelon form of a row
+    space is unique, so it does not depend on the order rows are added."""
+
+    def __init__(self, width, rows=()):
+        self.width = width
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, row) -> dict:
+        """The residue of ``row`` modulo the held rows, empty iff it lies in
+        their span.  One pass is enough: subtracting a held row clears its
+        pivot and leaves the row's other pivot entries as they were."""
+        row = dict(row)
+        for c in [c for c in row if c in self.rows]:
+            _subtract(row, row[c], self.rows[c])
+        return row
+
+    def add(self, row) -> bool:
+        """Hold ``row``'s residue, if nonzero, as a new row: scaled to 1 at
+        its first column, which is cleared from the rows already held."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        c = min(row)
+        inv = row[c].inverse()
+        row = {k: x * inv for k, x in row.items()}
+        for r in self.rows.values():
+            if c in r:
+                _subtract(r, r[c], row)
+        self.rows[c] = row
+        return True
+
+    def rref(self):
+        """(R, pivot_columns): the held rows as a dense matrix, by pivot."""
+        pivots = sorted(self.rows)
+        return Matrix([[self.rows[c].get(k, ZERO) for k in range(self.width)]
+                       for c in pivots], cols=self.width), pivots
+
+
 def rref(m: Matrix):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    a = [row[:] for row in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix(a), pivots
+    """Reduced row echelon form without its zero rows; returns
+    (R, pivot_columns)."""
+    return _Echelon(m.cols, map(_sparse, m.entries)).rref()
 
 
 def rank(m: Matrix) -> int:
     """Exact rank: the number of pivots of ``rref`` (field entries)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     return len(rref(m)[1])
 
 
-def nullspace(m: Matrix):
-    """Exact right-nullspace basis as a list of column tuples (canonical)."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(ONE if i == j else ZERO for i in range(m.cols)) for j in range(m.cols)]
-    R, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+def _kernel(R: Matrix, pivots):
+    """The canonical right-nullspace basis of a reduced echelon form: for
+    each free column f, 1 at f and minus column f of R at the pivots."""
     basis = []
-    for f in free:
-        v = [ZERO] * m.cols
+    for f in [c for c in range(R.cols) if c not in pivots]:
+        v = [ZERO] * R.cols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -R.entries[r][f]
+        for row, c in zip(R.entries, pivots):
+            v[c] = -row[f]
         basis.append(tuple(v))
     return basis
 
 
+def nullspace(m: Matrix):
+    """Exact right-nullspace basis as a list of column tuples (canonical)."""
+    return _kernel(*rref(m))
+
+
 def canonical_span(vectors, dim: int):
     """Unique reduced basis (rref rows) spanning the given vectors."""
-    if not vectors:
-        return Matrix.zeros(0, dim)
-    R, _ = rref(Matrix([list(v) for v in vectors]))
-    rows = [r for r in R.entries if any(r)]
-    return Matrix(rows) if rows else Matrix.zeros(0, dim)
+    return rref(Matrix([list(v) for v in vectors], cols=dim))[0]
 
 
 class SubspaceBasis:
@@ -327,22 +361,19 @@ class SubspaceBasis:
 
     def __init__(self, dim: int, vectors):
         self.dim = dim
-        self.basis = canonical_span(vectors, dim)
+        self._echelon = _Echelon(dim, map(_sparse, vectors))
+        self.basis = self._echelon.rref()[0]
 
     @property
     def dimension(self) -> int:
         return self.basis.rows
 
     def contains(self, vec) -> bool:
-        """Membership by reduction against the reduced echelon rows."""
+        """Membership: the vector's residue modulo the echelon is zero."""
         v = list(vec)
         if len(v) != self.dim:
             raise ValueError(f"vector of length {len(v)} in a space of dimension {self.dim}")
-        for row in self.basis.entries:
-            f = v[next(j for j, x in enumerate(row) if x)]
-            if f:
-                v = [x - f * y if y else x for x, y in zip(v, row)]
-        return not any(v)
+        return not self._echelon.reduce(_sparse(v))
 
     def __eq__(self, other):
         return (
@@ -353,38 +384,6 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, rank={self.dimension})"
-
-
-class _RowAbsorber:
-    """Incremental echelon form over sparse GRat rows {col: value}: ``rows``
-    maps each pivot column to a row whose pivot entry is 1 and whose other
-    entries lie right of it; a row is kept only if independent of these."""
-
-    def __init__(self, width):
-        self.width = width
-        self.rows = {}
-
-    def add(self, row) -> bool:
-        row = dict(row)
-        while row:
-            c = min(row)
-            r = self.rows.get(c)
-            if r is None:
-                inv = row[c].inverse()
-                self.rows[c] = {k: x * inv for k, x in row.items()}
-                return True
-            f = row[c]
-            for k, y in r.items():
-                x = row.get(k, ZERO) - f * y
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-        return False
-
-    def matrix(self) -> Matrix:
-        return Matrix([[r.get(k, ZERO) for k in range(self.width)]
-                       for _, r in sorted(self.rows.items())], cols=self.width)
 
 
 def _coefficient_rows(p):
@@ -421,14 +420,14 @@ def linear_kernel(apply, shapes):
         return []
     ring = PolyRing([f"x{k}_{i}_{j}" for k, (r, c) in enumerate(shapes)
                      for i in range(r) for j in range(c)])
-    absorber = _RowAbsorber(width)
+    echelon = _Echelon(width)
     for resid in apply(*_unflatten([ring.sym(n) for n in ring.names], shapes)):
         for row in resid.entries:
             for p in row:
                 if p:
                     for coeffs in _coefficient_rows(p):
-                        absorber.add(coeffs)
-    return [_unflatten(v, shapes) for v in nullspace(absorber.matrix())]
+                        echelon.add(coeffs)
+    return [_unflatten(v, shapes) for v in _kernel(*echelon.rref())]
 
 
 def _unflatten(vec, shapes):

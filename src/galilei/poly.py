@@ -257,35 +257,25 @@ class Poly:
         return Poly(self.ring, terms)
 
     def subs(self, assignment: dict) -> "Poly":
-        """Substitute GRat values for some symbols (exact)."""
-        vals = {self.ring.index[n]: as_grat(v) for n, v in assignment.items()}
+        """Substitute values for some symbols, exactly.  A value is a GRat
+        (or a number) or an element of this ring; a negative power needs an
+        invertible one, a nonzero GRat or a monomial in invertible symbols
+        (``monomial_inverse`` raises ValueError otherwise)."""
+        vals = {self.ring.index[n]: self._lift(v) if isinstance(v, Poly) else as_grat(v)
+                for n, v in assignment.items()}
         out = self.ring.zero
         for e, c in self.terms.items():
-            coeff = c
-            e2 = list(e)
+            term = Poly(self.ring, {tuple(0 if k in vals else p for k, p in enumerate(e)): c})
             for k, v in vals.items():
-                coeff = coeff * v ** e[k]
-                e2[k] = 0
-            out = out + Poly(self.ring, {tuple(e2): coeff} if coeff else {})
+                if e[k]:
+                    term = term * v ** e[k]
+            out = out + term
         return out
 
     def eval(self, assignment: dict) -> GRat:
         """Evaluate at a full rational point."""
         out = self.subs(assignment)
         return out.constant_value()
-
-    def subs_poly(self, assignment: dict) -> "Poly":
-        """Substitute ring elements for symbols (exact, nonneg powers only)."""
-        repl = {self.ring.index[n]: self._lift(v) for n, v in assignment.items()}
-        out = self.ring.zero
-        for e, c in self.terms.items():
-            term = Poly(self.ring, {tuple(0 if k in repl else p for k, p in enumerate(e)): c})
-            for k, v in repl.items():
-                if e[k] < 0:
-                    raise ValueError("negative power in polynomial substitution")
-                term = term * v ** e[k]
-            out = out + term
-        return out
 
     def map_to(self, ring: "PolyRing") -> "Poly":
         """Re-express in a ring containing every symbol actually used."""

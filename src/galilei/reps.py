@@ -56,11 +56,6 @@ def spin1_matrix(a: int) -> Matrix:
     return SPIN1[a]
 
 
-def k_row(a: int) -> Matrix:
-    """k_a, the shared ``K_ROWS[a]``."""
-    return K_ROWS[a]
-
-
 S1_SPIN = [Matrix([[ZERO, HALF], [HALF, ZERO]]),
            Matrix([[ZERO, -HALF * I], [HALF * I, ZERO]]),
            Matrix([[HALF, ZERO], [ZERO, -HALF]])]
@@ -184,7 +179,7 @@ def boost_blocks(X: Matrix, Y: Matrix, Z: Matrix, a: int, zero=ZERO) -> Matrix:
     case: kron and block carry 0-row and 0-column shapes.  ``zero`` fills
     the scalar-scalar block.
     """
-    ka = k_row(a)
+    ka = K_ROWS[a]
     return Matrix.block([[X.kron(spin1_matrix(a)), Y.kron(ka.H)],
                          [Z.kron(ka), Matrix.zeros(Z.rows, Y.cols, zero)]])
 

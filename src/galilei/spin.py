@@ -308,5 +308,4 @@ def generic_instance(bs: BetaSystem, values: dict) -> BetaSystem:
         return evaluate_matrix(mat, values)
 
     return BetaSystem(bs.name, bs.rep, sub(bs.beta0), [sub(b) for b in bs.betas],
-                      sub(bs.beta4), carrier=bs.carrier,
-                      blocks={k: sub(v) for k, v in bs.blocks.items()})
+                      sub(bs.beta4), blocks={k: sub(v) for k, v in bs.blocks.items()})

@@ -299,10 +299,9 @@ class WeylElement:
         return WeylElement(self.algebra, terms)
 
     def subs_params(self, assignment: dict) -> "WeylElement":
-        poly_vals = any(isinstance(v, Poly) for v in assignment.values())
         terms = {}
         for e, c in self.terms.items():
-            c2 = c.subs_poly(assignment) if poly_vals else c.subs(assignment)
+            c2 = c.subs(assignment)
             if c2:
                 terms[e] = terms[e] + c2 if e in terms else c2
         return WeylElement(self.algebra, terms)

@@ -50,7 +50,7 @@ def _random_matrix(rng, rows, cols):
 
 
 def test_blocks_make_rotation_tensors_whatever_their_values():
-    # the premise of the four-residual solve: for any blocks, eta_a and
+    # the premise of the three-residual solve: for any blocks, eta_a and
     # beta_a / i are vector operators and beta0, beta4 commute with S, so
     # each condition family is a rotation vector or tensor
     rng = random.Random(15)
@@ -77,7 +77,7 @@ def test_blocks_make_rotation_tensors_whatever_their_values():
 
 
 def test_solutions_satisfy_all_fifteen_condition_families():
-    # the solve imposes four residuals; a subset of the equations can only
+    # the solve imposes three residuals; a subset of the equations can only
     # enlarge the space, so every basis vector meeting all fifteen shows it
     # is no larger
     for left, right, hermitian in SOLVE_CASES:
@@ -199,6 +199,28 @@ def test_family2_forces_the_derived_f_and_g():
                 assert not G[i, j] + X[3 * car_l.N + i, 3 * car_r.N + j], (left, right)
 
 
+def test_symmetric_r_and_e_tie_the_other_four_blocks():
+    # the hermitian solve imposes only R = R^T and E = E^T: on a self pair
+    # of integer carriers, symmetric R and E make F and G symmetric, H
+    # antisymmetric and N = -M^T identically
+    for left, right, _ in SOLVE_CASES:
+        if left != right:
+            continue
+        car = carrier_for(left)
+        assert all(x.is_rational() and x.re.denominator == 1 for m in (car.A, car.B, car.C)
+                   for row in m.entries for x in row), left
+        ring = PolyRing([f"{b}{i}_{j}" for b, n in (("r", car.N), ("e", car.M))
+                         for i in range(n) for j in range(i, n)])
+
+        def symmetric(b, n):
+            return Matrix([[ring.sym(f"{b}{min(i, j)}_{max(i, j)}") for j in range(n)]
+                           for i in range(n)], cols=n)
+
+        H, M, N, F, G = derived_blocks(car, car, symmetric("r", car.N), symmetric("e", car.M))
+        for tie in (F - F.T, G - G.T, H + H.T, M + N.T):
+            assert tie.is_zero(), left
+
+
 def test_hermitian_cross_pair_is_rejected():
     # hermiticity ties each block to its own transpose, which only a self
     # pair has; D(1,0,0) x D(0,1,0) once failed with IndexError and the
@@ -240,12 +262,12 @@ def test_assemble_reproduces_four_component_system():
     bs = assemble("D(1,1,0)", Matrix([[ONE]]), Matrix([[ZERO]]))
     assert bs.beta4 == Matrix.direct_sum([Matrix.identity(3), Matrix.zeros(1, 1)])
     assert bs.beta0 == Matrix.direct_sum([Matrix.zeros(3, 3), Matrix([[GRat(2)]])])
-    from galilei.reps import k_row
+    from galilei.reps import K_ROWS
 
     for a in range(3):
         expected = Matrix.block([
-            [Matrix.zeros(3, 3), k_row(a).H * (-1)],
-            [k_row(a), Matrix.zeros(1, 1)],
+            [Matrix.zeros(3, 3), K_ROWS[a].H * (-1)],
+            [K_ROWS[a], Matrix.zeros(1, 1)],
         ]) * I
         assert bs.betas[a] == expected
 
@@ -303,7 +325,7 @@ def test_assemble_verifies_each_distinct_system_once(verify_calls):
 
 def test_assemble_keys_on_the_carrier_matrices_not_its_labels(verify_calls):
     bs = cat.system_D311()
-    car = bs.carrier
+    car = carrier_for("D(3,1,1)")
     A = Matrix(car.A.entries)
     A.entries[0][0] = A[0, 0] + ONE
     changed = VectorCarrier(car.labels, A, car.B, car.C, car.N, car.M)

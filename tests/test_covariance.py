@@ -44,7 +44,7 @@ def test_five_vector_inverse():
     T_v = five_vector_transform(ring)
     # inverse is the transform at -v: build by substitution w = -v
     T_m = five_vector_transform(ring, vnames=("w1", "w2", "w3"))
-    prod = (T_v @ T_m).map(lambda p: p.subs_poly(
+    prod = (T_v @ T_m).map(lambda p: p.subs(
         {"w1": -ring.sym("v1"), "w2": -ring.sym("v2"), "w3": -ring.sym("v3")}))
     assert prod == Matrix.identity(5, ring.one, ring.zero)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from galilei.matrix import (
     Matrix,
     SubspaceBasis,
-    _RowAbsorber,
+    _Echelon,
+    _sparse,
     canonical_span,
     det,
     dot,
@@ -16,7 +17,6 @@ from galilei.matrix import (
     nilpotent_exp,
     nullspace,
     rank,
-    rref,
 )
 from galilei.poly import Poly, PolyRing
 from galilei.scalars import GRat, I, ONE, ZERO
@@ -70,7 +70,7 @@ def test_sum_of_empty_matrices_keeps_columns():
 
 
 def test_nullspace_examples():
-    k1 = reps.k_row(0)
+    k1 = reps.K_ROWS[0]
     ns = nullspace(k1)
     assert len(ns) == 2
     assert all(v[0] == ZERO for v in ns)
@@ -98,7 +98,7 @@ def test_kron_examples():
     assert big.shape == (6, 6)
     assert big.submatrix(range(3), range(3)) == s3
     assert big.submatrix(range(3, 6), range(3, 6)) == s3
-    col = Matrix([[ONE], [ZERO]]).kron(reps.k_row(0).H)
+    col = Matrix([[ONE], [ZERO]]).kron(reps.K_ROWS[0].H)
     assert col.shape == (6, 1)
     assert col[0, 0] == -I and all(not col[k, 0] for k in range(1, 6))
     z = Matrix.zeros(1, 1).kron(s3)
@@ -292,7 +292,7 @@ KERNEL_CASES = [
                 - X @ Matrix.from_rational_rows([[2, 0, 0], [0, 3, 0], [1, 0, 2]])],
      [(2, 3)]),
     # two coupled blocks with an imaginary coupling
-    (lambda X, Y: [X @ reps.k_row(0) - reps.k_row(0) @ Y, Y - Y.T],
+    (lambda X, Y: [X @ reps.K_ROWS[0] - reps.K_ROWS[0] @ Y, Y - Y.T],
      [(1, 1), (3, 3)]),
 ]
 
@@ -341,7 +341,7 @@ def test_linear_kernel_real_equals_complex(label):
             N * N + M * M - probed_rank(endo, [(N, N), (M, M)])
 
 
-# -- sparse absorption and echelon membership ------------------------------------
+# -- the sparse reduced echelon and membership ------------------------------------
 
 ABSORB_SEED = 5050
 
@@ -369,30 +369,52 @@ def _random_rows(rng, n_rows, width):
     return rows
 
 
+def assert_reduced(echelon):
+    """Each held row is 1 at its pivot, 0 left of it and 0 at every other
+    pivot, and holds no explicit zero."""
+    for c, r in echelon.rows.items():
+        assert r[c] == ONE and min(r) == c and all(r.values())
+        assert not any(k in r for k in echelon.rows if k != c)
+
+
 @pytest.mark.parametrize("case", range(12))
 def test_row_absorber_matches_dense_rref(case):
+    # the echelon absorbs rows one at a time and is reduced after each
     rng = random.Random(ABSORB_SEED + case)
     width = rng.randint(1, 9)
     rows = _random_rows(rng, rng.randint(1, 14), width)
-    absorber = _RowAbsorber(width)
-    kept = [absorber.add({k: x for k, x in enumerate(r) if x}) for r in rows]
-    dense = Matrix(rows)
-    assert sum(kept) == len(absorber.rows) == rank(dense)
-    held = absorber.matrix()
-    assert held.shape == (len(absorber.rows), width)
-    assert canonical_span(held.entries, width) == canonical_span(rows, width)
-    assert nullspace(held) == nullspace(dense)
-    for c, r in absorber.rows.items():
-        assert r[c] == ONE and min(r) == c and all(r.values())
+    echelon = _Echelon(width)
+    kept = []
+    for r in rows:
+        kept.append(echelon.add(_sparse(r)))
+        assert_reduced(echelon)
+    r0 = gauss_rank_oracle(rows)
+    assert sum(kept) == len(echelon.rows) == rank(Matrix(rows)) == r0
+    held, pivots = echelon.rref()
+    assert held.shape == (r0, width) and pivots == sorted(echelon.rows)
+    # the held rows span the rows: each row reduces to zero, and the held
+    # rows add no rank to them
+    assert not any(echelon.reduce(_sparse(r)) for r in rows)
+    assert gauss_rank_oracle(rows + held.entries) == r0
+    # the reduced form is unique, so the order of the rows does not matter
+    assert _Echelon(width, map(_sparse, reversed(rows))).rref() == (held, pivots)
+    ns = nullspace(held)
+    assert len(ns) == width - r0
+    assert all((Matrix(rows) @ Matrix([[x] for x in v])).is_zero() for v in ns)
 
 
 def test_row_absorber_rejects_zero_and_repeats():
-    absorber = _RowAbsorber(3)
-    assert not absorber.add({})
-    assert absorber.add({1: I, 2: GRat(2)})
-    assert not absorber.add({1: GRat(3), 2: GRat(0, -6)})
-    assert absorber.matrix() == Matrix([[ZERO, ONE, GRat(0, -2)]])
-    assert _RowAbsorber(4).matrix().shape == (0, 4)
+    echelon = _Echelon(3)
+    assert not echelon.add({})
+    assert echelon.add({1: I, 2: GRat(2)})
+    assert not echelon.add({1: GRat(3), 2: GRat(0, -6)})
+    assert echelon.rref() == (Matrix([[ZERO, ONE, GRat(0, -2)]]), [1])
+    # a new pivot is cleared from the rows already held
+    assert echelon.add({2: GRat(5)})
+    assert echelon.rref() == (Matrix([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]), [1, 2])
+    assert echelon.reduce({0: GRat(2), 1: ONE, 2: I}) == {0: GRat(2)}
+    assert _Echelon(4).rref()[0].shape == (0, 4)
+    assert _Echelon(0).rref()[0].shape == (0, 0)
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -407,10 +429,12 @@ def test_contains_matches_rank_test(case):
         probes.append([sum((f * r[k] for f, r in zip(coeffs, rows)), ZERO)
                        for k in range(width)])
     probes += _random_rows(rng, 6, width)
+    # an echelon built from the rows in the opposite order reduces the same
+    echelon = _Echelon(width, map(_sparse, reversed(rows)))
     inside = 0
     for v in probes:
-        expected = canonical_span(rows + [v], width).rows == space.dimension
-        assert space.contains(v) == expected
+        expected = gauss_rank_oracle(rows + [v]) == gauss_rank_oracle(rows)
+        assert space.contains(v) == (not echelon.reduce(_sparse(v))) == expected
         inside += expected
     assert inside >= 4
     with pytest.raises(ValueError):

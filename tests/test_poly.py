@@ -57,7 +57,22 @@ def test_diff_and_coefficients():
 def test_subs_poly():
     x, y = RING.sym("x"), RING.sym("y")
     p = x * x + y
-    assert p.subs_poly({"x": y + 1}) == (y + 1) * (y + 1) + y
+    assert p.subs({"x": y + 1}) == (y + 1) * (y + 1) + y
+    assert p.subs({"x": GRat(2), "y": y * 3}) == y * 3 + 4
+    with pytest.raises(ValueError, match="mixed polynomial rings"):
+        p.subs({"x": PolyRing(("x",)).sym("x")})
+
+
+def test_subs_negative_power_needs_an_invertible_value():
+    ring = PolyRing(("nu", "x"), invertible=("nu",))
+    nu, x = ring.sym("nu"), ring.sym("x")
+    p = nu ** -1
+    assert p.subs({"nu": nu * 2}) == nu ** -1 * GRat(Fraction(1, 2))
+    assert p.subs({"nu": GRat(4)}) == ring.const(GRat(Fraction(1, 4)))
+    with pytest.raises(ValueError, match="only monomials"):
+        p.subs({"nu": nu + 1})
+    with pytest.raises(ValueError, match="not invertible"):
+        p.subs({"nu": x})
 
 
 def test_conjugate_keeps_symbols_real():
