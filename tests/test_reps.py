@@ -144,7 +144,33 @@ def test_table1_kept_by_endo_filter():
     assert not reps._is_indecomposable(z, z, z, 1, 1)
 
 
+def test_trace_form_is_the_explicit_gram_matrix():
+    z1, z2 = Matrix.zeros(1, 1), Matrix.zeros(2, 2)
+    zeros = [((1, 1, 0), z1, z1, z1), ((2, 2, 0), z2, z2, z2)]  # decomposable
+    for (n, m, _), A, B, C in [*_table1_triples(), *zeros]:
+        mats = reps.endomorphisms(A, B, C, n, m)
+        want = Matrix([[(X1 @ X2).trace() + (Y1 @ Y2).trace() for X2, Y2 in mats]
+                       for X1, Y1 in mats])
+        assert reps._trace_form(mats) == want, (n, m)
+
+
 # -- the pruned rediscovery search ------------------------------------------------
+
+@pytest.mark.parametrize("pair", [(0, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_partners_are_the_filtered_pairs_in_order(pair):
+    # A^2 + BC = 0 entry by entry, with BC summed out here (m = 0 sums nothing)
+    n, m = pair
+
+    def closes(A, B, C):
+        return all(sum(B[i][k] * C[k][j] for k in range(m)) == -sum(
+            A[i][k] * A[k][j] for k in range(n)) for i in range(n) for j in range(n))
+
+    for A in map(reps._jordan, reps._partitions(n)):
+        _, on_c, partners = reps._abc_equations(A, m)
+        cs = [C for C in reps._int_matrices(m, n) if on_c(C)]
+        for B in reps._int_matrices(n, m):
+            assert partners(B, set(cs)) == [C for C in cs if closes(A, B, C)], (A, B)
+
 
 def _naive_signatures(n, m):
     """Every triple over {-1, 0, 1}: `_abc_ok`, then `_is_indecomposable`, no pruning."""
@@ -247,6 +273,10 @@ FUNNELS = {
     (2, 1): (2, 22, 8),
     (2, 2): (2, 450, 33),
     (3, 1): (3, 72, 15),
+    (2, 3): (2, 13222, 134),
+    (3, 2): (3, 4598, 109),
+    (1, 3): (1, 245, 13),
+    (4, 1): (4, 233, 26),
 }
 
 
