@@ -77,32 +77,18 @@ class Cell:
         n_r, m_r = self.row[0], self.row[1]
         return (n_c, n_r), (m_c, m_r)
 
-    def letters(self):
-        out = []
-        for spec in (self.R, self.E):
-            if spec is None:
-                continue
-            for rw in spec:
-                for ent in rw:
-                    _, cf = _parse_entry(ent)
-                    for k in cf:
-                        if k not in out:
-                            out.append(k)
-        return out
-
-    def vectors(self, unfreeze: bool):
-        """(base_vector, {letter: direction_vector}) over flattened (R, E)."""
+    def vectors(self):
+        """(base, dirs_frozen, dirs_unfrozen) over flattened (R, E): the
+        literal entries, one direction per letter in order of first
+        appearance, and those directions with the literals promoted to a
+        last one, "unfrozen".  Each printed entry is parsed once."""
         (rn, rm), (en, em) = self.shapes()
         size = rn * rm + en * em
         base = [ZERO] * size
-        dirs = {k: [ZERO] * size for k in self.letters()}
-        if unfreeze:
-            dirs.setdefault("unfrozen", [ZERO] * size)
-
-        def fill(spec, shape, offset):
+        dirs = {}
+        for spec, (r, c), offset in ((self.R, (rn, rm), 0), (self.E, (en, em), rn * rm)):
             if spec is None:
-                return
-            r, c = shape
+                continue
             if len(spec) != r or any(len(rw) != c for rw in spec):
                 raise ShapeMismatch(
                     f"fixture block printed {len(spec)}x{len(spec[0]) if spec else 0}, "
@@ -112,18 +98,14 @@ class Cell:
                 for j in range(c):
                     const, cf = _parse_entry(spec[i][j])
                     k = offset + i * c + j
-                    if const:
-                        if unfreeze:
-                            dirs["unfrozen"][k] = dirs["unfrozen"][k] + GRat(const)
-                        else:
-                            base[k] = base[k] + GRat(const)
+                    base[k] = GRat(const)
                     for letter, q in cf.items():
-                        dirs[letter][k] = dirs[letter][k] + GRat(q)
-
-        fill(self.R, (rn, rm), 0)
-        fill(self.E, (en, em), rn * rm)
-        dirs = {k: tuple(v) for k, v in dirs.items() if any(v)}
-        return tuple(base), dirs
+                        dirs.setdefault(letter, [ZERO] * size)[k] = GRat(q)
+        frozen = {k: tuple(v) for k, v in dirs.items() if any(v)}
+        unfrozen = dict(frozen)
+        if any(base):
+            unfrozen["unfrozen"] = tuple(base)
+        return tuple(base), frozen, unfrozen
 
 
 def _c(col, row, R, E, table):
@@ -369,8 +351,7 @@ def _solve(spaces, left, right):
 def _cell_report(cell: Cell, spaces) -> dict:
     col_l, row_l = _label(cell.col), _label(cell.row)
     try:
-        base_frozen, dirs_frozen = cell.vectors(unfreeze=False)
-        _, dirs_unfrozen = cell.vectors(unfreeze=True)
+        base_frozen, dirs_frozen, dirs_unfrozen = cell.vectors()
     except ShapeMismatch as exc:
         return {
             "cell": f"T{cell.table}[{col_l} x {row_l}]",

@@ -15,7 +15,9 @@ conditions
 are linear in those blocks, so the full solution space is an exact
 nullspace computation, built from the actual carrier matrices rather
 than from any printed closed-form reduction.  The unknowns are R and E
-alone: the other five blocks are functions of them (``derived_blocks``).
+alone: the other five blocks are functions of them (``derived_blocks``),
+and the conditions reduce to four multiplet-level block equations in
+them (``block_equations``).
 
 Rotation covariance.  Only the a = 0 components of the first and
 second families need imposing: the first at a = 0 and the second at
@@ -46,18 +48,41 @@ k_0 k_0^H = 1, the block pattern gives
         = boost_blocks(A^H R - R A', C^H E - R B', B^H R - E C', 0),
 
 so the first family at a = 0 says exactly H = A^H R - R A',
-M = C^H E - R B', N = B^H R - E C': with those blocks it is an identity
-in R and E, and it is not imposed.  The second family at (0, 0) fixes
-beta0 = -(eta_0^H b_0 - b_0 eta_0), b_0 = beta_0 / i.  Its scalar block
-gives G = N B' - B^H M, and its triplet block gives F twice, as
-H A' - A^H H off the k_0 axis and as M C' - C^H N on it.  Substituting
-H, M, N and A^2 = -BC, the scalar value is derived_blocks' G
-identically, and the mean of the two triplet values is derived_blocks'
-F identically.  Every solution has the two equal, so its F and G are
-derived_blocks'.  Solving over (R, E) with all five other blocks
-substituted therefore cuts out the same (R, E) space as solving over
-all seven blocks, and the three remaining residuals (second family at
-(0, b)) are imposed.
+M = C^H E - R B', N = B^H R - E C' (``beta_a_blocks``): with those
+blocks it is an identity in R and E, and it is not imposed.  The second
+family at (0, b) multiplies out by (X (x) P)(Y (x) Q) = XY (x) PQ with
+the fixed products s_0 s_1 = -E10, s_1 s_0 = -E01, k_0^H k_1 = E01,
+k_1^H k_0 = E10, s_0 k_1^H = e2, s_1 k_0^H = -e2, k_0 s_1 = -e2^T,
+k_1 s_0 = e2^T and k_0 k_1^H = k_1 k_0^H = 0.  With b_b = beta_b / i,
+
+    eta_0^H b_1 - b_1 eta_0' = [[Q (x) E01 - P (x) E10, U (x) e2],
+                                [-V (x) e2^T,           0      ]],
+
+    P = A^H H + M C',  Q = C^H N + H A',  U = A^H M + H B',  V = B^H H + N A',
+
+and the products with 2 in place of 1 give the (0, 2) residual
+[[Q (x) E02 - P (x) E20, -U (x) e1], [V (x) e1^T, 0]].  Both vanish
+exactly when the four block equations P = Q = U = V = 0 hold
+(``block_equations``).  The (0, 0) residual, eta_0^H b_0 - b_0 eta_0' +
+beta0, fixes beta0.  Its off-diagonal blocks vanish (s_0 k_0^H = 0,
+k_0 s_0 = 0).  Its scalar block is B^H M - N B' + G, and with M, N
+substituted it vanishes exactly at derived_blocks' G.  Its triplet block
+is X_1 (x) diag(0, 1, 1) + X_0 (x) diag(1, 0, 0), with X_1 = A^H H -
+H A' + F and X_0 = C^H N - M C' + F.  Substituting H, M, N, and using
+A^2 + BC = 0 on both carriers,
+
+    X_1 + X_0 = (A^2 + BC)^H R + R (A'^2 + B'C') - 2 A^H R A' - 2 C^H E C' + 2 F,
+
+which vanishes exactly at derived_blocks' F = C^H E C' + A^H R A'.  Then
+X_1 = -X_0 = (P - Q) / 2, so the (0, 0) residual vanishes whenever the
+four block equations hold.  Every solution of the seven-block system
+has H, M, N from the first family and F, G from the (0, 0) residual, so
+its (R, E) meets the four block equations; conversely, (R, E) meeting
+them, with all five blocks from ``derived_blocks``, makes every (0, b)
+residual vanish.  Solving the four block equations over (R, E)
+therefore cuts out the same (R, E) space as solving over all seven
+blocks, and the solve builds neither beta0, beta_a nor eta_0, nor F
+and G.
 
 Hermiticity.  On a self pair the hermitian solve ties each block to its
 transpose: R, E, F, G symmetric, H antisymmetric and N = -M^T (the
@@ -154,22 +179,48 @@ def beta_from_blocks(R, E, F, G, H, M, N, ring=None):
             sector_sum(R, i3, E))
 
 
+def beta_a_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
+    """H, M, N, the blocks of beta_a / i: what the first family at a = 0
+    says for (R, E), so with them it holds identically.  R and E may hold
+    Poly entries."""
+    A, B, C = car_l.A, car_l.B, car_l.C
+    return (A.H @ R - R @ car_r.A, C.H @ E - R @ car_r.B, B.H @ R - E @ car_r.C)
+
+
 def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
     """H, M, N, F, G determined by (R, E) through the invariance conditions.
 
-    H, M, N are what the first family at a = 0 says, so with them it holds
-    identically.  G is what the second family at (0, 0) says; F is the mean
-    of its two values there (off and on the k_0 axis), which agree on every
-    solution (module docstring).  R and E may hold Poly entries.
+    H, M, N come from ``beta_a_blocks``.  G makes the scalar block of the
+    second family at (0, 0) vanish and F the sum of its two triplet
+    values, so with the four block equations it holds there (module
+    docstring).  R and E may hold Poly entries.
     """
     A, B, C = car_l.A, car_l.B, car_l.C
     Ap, Bp, Cp = car_r.A, car_r.B, car_r.C
-    H = A.H @ R - R @ Ap
-    M = C.H @ E - R @ Bp
-    N = B.H @ R - E @ Cp
+    H, M, N = beta_a_blocks(car_l, car_r, R, E)
     F = C.H @ E @ Cp + A.H @ R @ Ap
     G = (B.H @ R @ Bp) * GRat(2) - B.H @ C.H @ E - E @ Cp @ Bp
     return H, M, N, F, G
+
+
+def block_equations(car_l: VectorCarrier, car_r: VectorCarrier, R, E) -> list:
+    """A^H H + M C', C^H N + H A', A^H M + H B' and B^H H + N A', with H, M, N
+    from ``beta_a_blocks``: they vanish exactly when the second family at
+    (0, 1) and (0, 2) does, and on carriers with A^2 + BC = 0 they imply
+    it at (0, 0) (module docstring).  R and E may hold Poly entries."""
+    Ah, Bh, Ch = car_l.A.H, car_l.B.H, car_l.C.H
+    Ap, Bp, Cp = car_r.A, car_r.B, car_r.C
+    H, M, N = beta_a_blocks(car_l, car_r, R, E)
+    return [Ah @ H + M @ Cp, Ch @ N + H @ Ap, Ah @ M + H @ Bp, Bh @ H + N @ Ap]
+
+
+def _check_triple(car: VectorCarrier):
+    """ValueError unless the carrier's triple has AB = 0, CA = 0 and
+    A^2 + BC = 0; the reduction to block equations needs the last."""
+    A, B, C = car.A, car.B, car.C
+    if not ((A @ B).is_zero() and (C @ A).is_zero() and (A @ A + B @ C).is_zero()):
+        raise ValueError(f"carrier {'+'.join(map(str, car.labels)) or '()'} breaks "
+                         "AB = 0, CA = 0 or A^2 + BC = 0")
 
 
 # -- the linear solve ------------------------------------------------------------
@@ -210,16 +261,18 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     the adjoint) and default to the plain solve; asking for hermiticity
     on a cross pair is a ValueError.
 
-    The unknowns are R and E; H, M, N, F and G come from
-    ``derived_blocks``.  That makes the first family at a = 0 an identity,
-    so it is dropped, and it leaves each solution's F and G unchanged, as
-    every solution has the ones ``derived_blocks`` gives (module
-    docstring).  Only the second family at (0, b) is imposed, three
-    residuals: rotation covariance makes its other components vanish with
-    them, and the whole second family implies the third.  It is imposed
-    divided by i, on beta_b / i, which has the same solutions.  A
-    hermitian solve adds R - R^T and E - E^T; the four other symmetry
-    ties then hold identically on these real carriers (module docstring).
+    The unknowns are R and E, and the conditions are imposed as the four
+    block equations of ``block_equations``: with H, M, N from
+    ``beta_a_blocks`` the first family is an identity, and the four hold
+    exactly when the second family does, F and G being ``derived_blocks``'
+    (module docstring).  So the solve builds no beta matrix, no boost and
+    neither F nor G.  Rotation covariance makes the other components of
+    each family vanish with the a = 0 ones, and the whole second family
+    implies the third.  A hermitian solve adds R - R^T and E - E^T; the
+    four other symmetry ties then hold identically on these real carriers
+    (module docstring).  The reduction needs A^2 + BC = 0 on each carrier,
+    so a carrier whose triple breaks AB = 0, CA = 0 or A^2 + BC = 0 is a
+    ValueError; every ``carrier_for`` carrier meets them.
     """
     car_l = carrier_for(left) if not isinstance(left, VectorCarrier) else left
     car_r = carrier_for(right) if not isinstance(right, VectorCarrier) else right
@@ -229,14 +282,12 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     elif hermitian and not self_pair:
         pair = " x ".join("+".join(map(str, c.labels)) for c in (car_l, car_r))
         raise ValueError(f"hermiticity constrains self pairs only; got {pair}")
+    _check_triple(car_l)
+    _check_triple(car_r)
     r_shape, e_shape = (car_l.N, car_r.N), (car_l.M, car_r.M)
-    eta_l_h, eta_r = car_l.eta(0).H, car_r.eta(0)
 
     def apply(R, E):
-        H, M, N, F, G = derived_blocks(car_l, car_r, R, E)
-        beta0, b_over_i, _ = beta_from_blocks(R, E, F, G, H, M, N)
-        out = [eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
-        out += [eta_l_h @ b - b @ eta_r for b in b_over_i[1:]]
+        out = block_equations(car_l, car_r, R, E)
         if hermitian:
             out += [R - R.T, E - E.T]
         return out

@@ -9,13 +9,21 @@ from galilei.beta import (
     VectorCarrier,
     assemble,
     beta_from_blocks,
+    block_equations,
     carrier_for,
     derived_blocks,
     normalize_equivalence,
     solve_beta4_space,
     verify_conditions,
 )
-from galilei.matrix import Matrix, _unflatten, canonical_span, linear_kernel
+from galilei.matrix import (
+    Matrix,
+    SubspaceBasis,
+    _coefficient_rows,
+    _unflatten,
+    canonical_span,
+    linear_kernel,
+)
 from galilei.poly import PolyRing
 from galilei.reps import TABLE1, eps, verify_hg
 from galilei.scalars import GRat, HALF, I, ONE, ZERO
@@ -50,7 +58,7 @@ def _random_matrix(rng, rows, cols):
 
 
 def test_blocks_make_rotation_tensors_whatever_their_values():
-    # the premise of the three-residual solve: for any blocks, eta_a and
+    # the premise of imposing only a = 0 components: for any blocks, eta_a and
     # beta_a / i are vector operators and beta0, beta4 commute with S, so
     # each condition family is a rotation vector or tensor
     rng = random.Random(15)
@@ -77,9 +85,10 @@ def test_blocks_make_rotation_tensors_whatever_their_values():
 
 
 def test_solutions_satisfy_all_fifteen_condition_families():
-    # the solve imposes three residuals; a subset of the equations can only
-    # enlarge the space, so every basis vector meeting all fifteen shows it
-    # is no larger
+    # the solve imposes four block equations in H, M, N; were they weaker
+    # than the fifteen families, some basis vector would break one of
+    # them, so every basis vector meeting all fifteen shows the space is
+    # no larger
     for left, right, hermitian in SOLVE_CASES:
         car_l, car_r = carrier_for(left), carrier_for(right)
         etas_l_h = [car_l.eta(a).H for a in range(3)]
@@ -140,13 +149,15 @@ def test_solve_matches_the_seven_block_reference(seven_block_bases):
         assert _basis_text(solve_beta4_space(*case).basis) == seven_block_bases[case], case
 
 
-@pytest.mark.parametrize("block", ["H", "G"])
+@pytest.mark.parametrize("block", ["H", "M", "N", "F", "G"])
 def test_seven_block_reference_sees_a_wrong_derived_block(seven_block_bases, monkeypatch,
                                                           block):
-    # mutation check: the (R, E) solve trusts derived_blocks, so a wrong H
-    # (the dropped family-1 residual) or a wrong G (the family-2 residual)
-    # must move some basis away from the seven-block route
-    real = beta_mod.derived_blocks
+    # mutation check: the (R, E) solve reads H, M, N from beta_a_blocks, so
+    # a wrong one must move some basis away from the seven-block route; it
+    # never reads F or G, so a wrong one leaves every basis where it is and
+    # must instead make assemble's verification fail on a solved self pair
+    target = "beta_a_blocks" if block in "HMN" else "derived_blocks"
+    real = getattr(beta_mod, target)
     at = "HMNFG".index(block)
 
     def doubled(car_l, car_r, R, E):
@@ -154,9 +165,86 @@ def test_seven_block_reference_sees_a_wrong_derived_block(seven_block_bases, mon
         blocks[at] = blocks[at] * GRat(2)
         return tuple(blocks)
 
-    monkeypatch.setattr(beta_mod, "derived_blocks", doubled)
-    assert any(_basis_text(solve_beta4_space(*case).basis) != seven_block_bases[case]
-               for case in SOLVE_CASES)
+    monkeypatch.setattr(beta_mod, target, doubled)
+    moved = [_basis_text(solve_beta4_space(*case).basis) != seven_block_bases[case]
+             for case in SOLVE_CASES]
+    if block in "HMN":
+        assert any(moved)
+        return
+    assert not any(moved)
+    monkeypatch.setattr(beta_mod, "_VERIFIED", set())
+    label = {"F": "D(2,1,0)", "G": "D(1,1,0)"}[block]
+    with pytest.raises(AssertionError, match="conditions violated"):
+        for R, E in solve_beta4_space(label, label).basis:
+            assemble(label, R, E)
+
+
+def _assembled_residuals(car_l, car_r, R, E, hermitian):
+    """The second family at (0, 0), (0, 1) and (0, 2) built from the full
+    beta matrices and boosts, with F and G from derived_blocks, then the
+    hermitian ties: the route the block equations replace."""
+    eta_l_h, eta_r = car_l.eta(0).H, car_r.eta(0)
+    H, M, N, F, G = derived_blocks(car_l, car_r, R, E)
+    beta0, b_over_i, _ = beta_from_blocks(R, E, F, G, H, M, N)
+    out = [eta_l_h @ b_over_i[0] - b_over_i[0] @ eta_r + beta0]
+    out += [eta_l_h @ b - b @ eta_r for b in b_over_i[1:]]
+    if hermitian:
+        out += [R - R.T, E - E.T]
+    return out
+
+
+def _equation_rows(resids, width):
+    """The real and imaginary coefficient rows of every nonzero entry."""
+    return [tuple(coeffs.get(k, ZERO) for k in range(width))
+            for resid in resids for row in resid.entries for p in row if p
+            for coeffs in _coefficient_rows(p)]
+
+
+def test_block_equations_match_the_assembled_residuals():
+    # the four block equations and the three assembled residuals span the
+    # same equations over R and E on every case, and the (0, 2) residual
+    # adds nothing to (0, 1)
+    for left, right, hermitian in SOLVE_CASES:
+        car_l, car_r = carrier_for(left), carrier_for(right)
+        if hermitian is None:
+            hermitian = left == right
+        ring, R, E, _ = _symbolic_blocks(car_l, car_r)
+        width = len(ring.names)
+        ties = [R - R.T, E - E.T] if hermitian else []
+        blocks = _equation_rows(block_equations(car_l, car_r, R, E) + ties, width)
+        assembled = _assembled_residuals(car_l, car_r, R, E, hermitian)
+        rows = _equation_rows(assembled, width)
+        for mine, theirs in ((blocks, rows), (rows, blocks)):
+            span = SubspaceBasis(width, theirs)
+            assert all(span.contains(v) for v in mine), (left, right, hermitian)
+        family_01 = SubspaceBasis(width, _equation_rows(assembled[1:2], width))
+        assert all(family_01.contains(v) for v in _equation_rows(assembled[2:3], width))
+
+
+def test_solve_builds_no_beta_matrix_boost_or_f_and_g(seven_block_bases, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve built a beta matrix, a boost or F and G")
+
+    for name in ("beta_from_blocks", "derived_blocks"):
+        monkeypatch.setattr(beta_mod, name, refuse)
+    monkeypatch.setattr(VectorCarrier, "eta", refuse)
+    for case in SOLVE_CASES:
+        assert _basis_text(solve_beta4_space(*case).basis) == seven_block_bases[case], case
+
+
+@pytest.mark.parametrize("A, B, C", [
+    ([[1]], [[0]], [[0]]),
+    ([[0, 1], [0, 0]], [[0], [1]], [[0, 0]]),
+    ([[0, 1], [0, 0]], [[0], [0]], [[1, 0]]),
+], ids=["A^2+BC", "AB", "CA"])
+def test_solve_refuses_a_carrier_off_the_triple_equations(A, B, C):
+    # the reduction to block equations uses A^2 + BC = 0
+    n, m = len(A), len(C)
+    car = VectorCarrier((), Matrix.from_rational_rows(A), Matrix.from_rational_rows(B),
+                        Matrix.from_rational_rows(C), n, m)
+    for left, right in ((car, "D(1,1,0)"), ("D(2,1,0)", car)):
+        with pytest.raises(ValueError, match="A\\^2 \\+ BC = 0"):
+            solve_beta4_space(left, right)
 
 
 def _symbolic_blocks(car_l, car_r):
