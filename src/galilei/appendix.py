@@ -365,6 +365,8 @@ def _cell_report(cell: Cell, spaces) -> dict:
             "hermitian_mode": cell.col == cell.row,
         }
 
+    frozen_vecs = list(dirs_frozen.values()) + ([base_frozen] if any(base_frozen) else [])
+    unfrozen_vecs = list(dirs_unfrozen.values())
     best = None
     for ckey in _label_candidates(cell.col):
         for rkey in _label_candidates(cell.row):
@@ -375,14 +377,11 @@ def _cell_report(cell: Cell, spaces) -> dict:
             if r_size + e_size != span.dim:
                 continue  # incompatible shapes under this reading
 
-            frozen_vecs = list(dirs_frozen.values()) + ([base_frozen] if any(base_frozen) else [])
-            unfrozen_vecs = list(dirs_unfrozen.values())
-
+            membership = any(
+                all(span.contains(v) for v in fv)
+                for fv in _sign_variants(frozen_vecs, r_size, e_size)
+            ) if frozen_vecs else True
             for flipped in _sign_variants(unfrozen_vecs, r_size, e_size):
-                mem_vecs = _sign_variants(frozen_vecs, r_size, e_size)
-                membership = any(
-                    all(span.contains(v) for v in fv) for fv in mem_vecs
-                ) if frozen_vecs else True
                 fix_span = canonical_span(flipped, span.dim)
                 match = fix_span == span.basis
                 via_orbit = False

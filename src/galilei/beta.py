@@ -15,9 +15,8 @@ conditions
 are linear in those blocks, so the full solution space is an exact
 nullspace computation, built from the actual carrier matrices rather
 than from any printed closed-form reduction.  The unknowns are R and E
-alone: the other five blocks are functions of them (``derived_blocks``),
-and the conditions reduce to four multiplet-level block equations in
-them (``block_equations``).
+alone: the other five blocks are functions of them (``derived_blocks``), and
+the conditions reduce to one block equation in them (``block_equation``).
 
 Rotation covariance.  Only the a = 0 components of the first and
 second families need imposing: the first at a = 0 and the second at
@@ -61,28 +60,35 @@ k_1 s_0 = e2^T and k_0 k_1^H = k_1 k_0^H = 0.  With b_b = beta_b / i,
     P = A^H H + M C',  Q = C^H N + H A',  U = A^H M + H B',  V = B^H H + N A',
 
 and the products with 2 in place of 1 give the (0, 2) residual
-[[Q (x) E02 - P (x) E20, -U (x) e1], [V (x) e1^T, 0]].  Both vanish
-exactly when the four block equations P = Q = U = V = 0 hold
-(``block_equations``).  The (0, 0) residual, eta_0^H b_0 - b_0 eta_0' +
+[[Q (x) E02 - P (x) E20, -U (x) e1], [V (x) e1^T, 0]].  Substituting
+H, M, N and using the three triple equations AB = 0, CA = 0 and
+A^2 + BC = 0 on both carriers (``_check_triple``),
+
+    U = (CA)^H E - R A'B' = 0,
+    V = (AB)^H R - E C'A' = 0,
+    P + Q = (A^2 + BC)^H R - R (A'^2 + B'C') = 0
+
+identically in R and E, so both residuals vanish exactly when P does
+(``block_equation``).  The (0, 0) residual, eta_0^H b_0 - b_0 eta_0' +
 beta0, fixes beta0.  Its off-diagonal blocks vanish (s_0 k_0^H = 0,
 k_0 s_0 = 0).  Its scalar block is B^H M - N B' + G, and with M, N
 substituted it vanishes exactly at derived_blocks' G.  Its triplet block
 is X_1 (x) diag(0, 1, 1) + X_0 (x) diag(1, 0, 0), with X_1 = A^H H -
-H A' + F and X_0 = C^H N - M C' + F.  Substituting H, M, N, and using
-A^2 + BC = 0 on both carriers,
+H A' + F and X_0 = C^H N - M C' + F.  Substituting H, M, N,
 
     X_1 + X_0 = (A^2 + BC)^H R + R (A'^2 + B'C') - 2 A^H R A' - 2 C^H E C' + 2 F,
+    P - X_1 = M C' + H A' - F = C^H E C' + A^H R A' - F - R (A'^2 + B'C'),
 
-which vanishes exactly at derived_blocks' F = C^H E C' + A^H R A'.  Then
-X_1 = -X_0 = (P - Q) / 2, so the (0, 0) residual vanishes whenever the
-four block equations hold.  Every solution of the seven-block system
-has H, M, N from the first family and F, G from the (0, 0) residual, so
-its (R, E) meets the four block equations; conversely, (R, E) meeting
-them, with all five blocks from ``derived_blocks``, makes every (0, b)
-residual vanish.  Solving the four block equations over (R, E)
-therefore cuts out the same (R, E) space as solving over all seven
-blocks, and the solve builds neither beta0, beta_a nor eta_0, nor F
-and G.
+and with A^2 + BC = 0 on both carriers derived_blocks' F = C^H E C' +
+A^H R A' is the one F with X_1 + X_0 = 0, and at it P - X_1 = 0 too.
+So X_1 = -X_0 = P, and the triplet block vanishes exactly when P does.
+Every solution of the seven-block system has H, M, N from the first
+family and F, G from the (0, 0) residual, so its (R, E) meets P = 0;
+conversely, (R, E) meeting P = 0, with all five blocks from
+``derived_blocks``, makes every (0, b) residual vanish.  Solving the one
+block equation P = 0 over (R, E) therefore cuts out the same (R, E)
+space as solving over all seven blocks.  The solve builds no beta
+matrix and no boost, and reads neither N nor F nor G.
 
 Hermiticity.  On a self pair the hermitian solve ties each block to its
 transpose: R, E, F, G symmetric, H antisymmetric and N = -M^T (the
@@ -192,7 +198,7 @@ def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
 
     H, M, N come from ``beta_a_blocks``.  G makes the scalar block of the
     second family at (0, 0) vanish and F the sum of its two triplet
-    values, so with the four block equations it holds there (module
+    values, so with the block equation P = 0 it holds there (module
     docstring).  R and E may hold Poly entries.
     """
     A, B, C = car_l.A, car_l.B, car_l.C
@@ -203,20 +209,17 @@ def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
     return H, M, N, F, G
 
 
-def block_equations(car_l: VectorCarrier, car_r: VectorCarrier, R, E) -> list:
-    """A^H H + M C', C^H N + H A', A^H M + H B' and B^H H + N A', with H, M, N
-    from ``beta_a_blocks``: they vanish exactly when the second family at
-    (0, 1) and (0, 2) does, and on carriers with A^2 + BC = 0 they imply
-    it at (0, 0) (module docstring).  R and E may hold Poly entries."""
-    Ah, Bh, Ch = car_l.A.H, car_l.B.H, car_l.C.H
-    Ap, Bp, Cp = car_r.A, car_r.B, car_r.C
-    H, M, N = beta_a_blocks(car_l, car_r, R, E)
-    return [Ah @ H + M @ Cp, Ch @ N + H @ Ap, Ah @ M + H @ Bp, Bh @ H + N @ Ap]
+def block_equation(car_l: VectorCarrier, car_r: VectorCarrier, R, E) -> Matrix:
+    """P = A^H H + M C', H and M from ``beta_a_blocks``.  On carriers meeting
+    the triple equations, P = 0 exactly when the second family vanishes at
+    (0, 0), (0, 1) and (0, 2) (module docstring).  R, E may hold Poly entries."""
+    H, M, _ = beta_a_blocks(car_l, car_r, R, E)
+    return car_l.A.H @ H + M @ car_r.C
 
 
 def _check_triple(car: VectorCarrier):
     """ValueError unless the carrier's triple has AB = 0, CA = 0 and
-    A^2 + BC = 0; the reduction to block equations needs the last."""
+    A^2 + BC = 0; the reduction to one block equation uses all three."""
     A, B, C = car.A, car.B, car.C
     if not ((A @ B).is_zero() and (C @ A).is_zero() and (A @ A + B @ C).is_zero()):
         raise ValueError(f"carrier {'+'.join(map(str, car.labels)) or '()'} breaks "
@@ -261,18 +264,15 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     the adjoint) and default to the plain solve; asking for hermiticity
     on a cross pair is a ValueError.
 
-    The unknowns are R and E, and the conditions are imposed as the four
-    block equations of ``block_equations``: with H, M, N from
-    ``beta_a_blocks`` the first family is an identity, and the four hold
-    exactly when the second family does, F and G being ``derived_blocks``'
-    (module docstring).  So the solve builds no beta matrix, no boost and
-    neither F nor G.  Rotation covariance makes the other components of
-    each family vanish with the a = 0 ones, and the whole second family
-    implies the third.  A hermitian solve adds R - R^T and E - E^T; the
-    four other symmetry ties then hold identically on these real carriers
-    (module docstring).  The reduction needs A^2 + BC = 0 on each carrier,
-    so a carrier whose triple breaks AB = 0, CA = 0 or A^2 + BC = 0 is a
-    ValueError; every ``carrier_for`` carrier meets them.
+    The unknowns are R and E, and the conditions are the one block
+    equation P = 0 of ``block_equation``: the module docstring shows that
+    it cuts out the space of all fifteen families, so the solve builds no
+    beta matrix and no boost, and reads neither N nor F nor G.  A
+    hermitian solve adds R - R^T and E - E^T, which imply the four other
+    symmetry ties on these real carriers.  The reduction uses AB = 0,
+    CA = 0 and A^2 + BC = 0 on each carrier, so a carrier whose triple
+    breaks one of them is a ValueError; every ``carrier_for`` carrier
+    meets them.
     """
     car_l = carrier_for(left) if not isinstance(left, VectorCarrier) else left
     car_r = carrier_for(right) if not isinstance(right, VectorCarrier) else right
@@ -287,7 +287,7 @@ def solve_beta4_space(left, right, hermitian=None) -> SolutionSpace:
     r_shape, e_shape = (car_l.N, car_r.N), (car_l.M, car_r.M)
 
     def apply(R, E):
-        out = block_equations(car_l, car_r, R, E)
+        out = [block_equation(car_l, car_r, R, E)]
         if hermitian:
             out += [R - R.T, E - E.T]
         return out

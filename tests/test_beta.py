@@ -7,9 +7,10 @@ from fractions import Fraction
 from galilei import beta as beta_mod
 from galilei.beta import (
     VectorCarrier,
+    _flatten_re,
     assemble,
     beta_from_blocks,
-    block_equations,
+    block_equation,
     carrier_for,
     derived_blocks,
     normalize_equivalence,
@@ -85,7 +86,7 @@ def test_blocks_make_rotation_tensors_whatever_their_values():
 
 
 def test_solutions_satisfy_all_fifteen_condition_families():
-    # the solve imposes four block equations in H, M, N; were they weaker
+    # the solve imposes one block equation in H and M; were it weaker
     # than the fifteen families, some basis vector would break one of
     # them, so every basis vector meeting all fifteen shows the space is
     # no larger
@@ -152,11 +153,12 @@ def test_solve_matches_the_seven_block_reference(seven_block_bases):
 @pytest.mark.parametrize("block", ["H", "M", "N", "F", "G"])
 def test_seven_block_reference_sees_a_wrong_derived_block(seven_block_bases, monkeypatch,
                                                           block):
-    # mutation check: the (R, E) solve reads H, M, N from beta_a_blocks, so
+    # mutation check: the (R, E) solve reads H and M from beta_a_blocks, so
     # a wrong one must move some basis away from the seven-block route; it
-    # never reads F or G, so a wrong one leaves every basis where it is and
-    # must instead make assemble's verification fail on a solved self pair
-    target = "beta_a_blocks" if block in "HMN" else "derived_blocks"
+    # never reads N, F or G, so a wrong one leaves every basis where it is
+    # and must instead make assemble's verification fail on a solved self
+    # pair
+    target = "beta_a_blocks" if block in "HM" else "derived_blocks"
     real = getattr(beta_mod, target)
     at = "HMNFG".index(block)
 
@@ -168,12 +170,12 @@ def test_seven_block_reference_sees_a_wrong_derived_block(seven_block_bases, mon
     monkeypatch.setattr(beta_mod, target, doubled)
     moved = [_basis_text(solve_beta4_space(*case).basis) != seven_block_bases[case]
              for case in SOLVE_CASES]
-    if block in "HMN":
+    if block in "HM":
         assert any(moved)
         return
     assert not any(moved)
     monkeypatch.setattr(beta_mod, "_VERIFIED", set())
-    label = {"F": "D(2,1,0)", "G": "D(1,1,0)"}[block]
+    label = {"N": "D(1,1,0)", "F": "D(2,1,0)", "G": "D(1,1,0)"}[block]
     with pytest.raises(AssertionError, match="conditions violated"):
         for R, E in solve_beta4_space(label, label).basis:
             assemble(label, R, E)
@@ -182,7 +184,7 @@ def test_seven_block_reference_sees_a_wrong_derived_block(seven_block_bases, mon
 def _assembled_residuals(car_l, car_r, R, E, hermitian):
     """The second family at (0, 0), (0, 1) and (0, 2) built from the full
     beta matrices and boosts, with F and G from derived_blocks, then the
-    hermitian ties: the route the block equations replace."""
+    hermitian ties: the route the block equation replaces."""
     eta_l_h, eta_r = car_l.eta(0).H, car_r.eta(0)
     H, M, N, F, G = derived_blocks(car_l, car_r, R, E)
     beta0, b_over_i, _ = beta_from_blocks(R, E, F, G, H, M, N)
@@ -201,7 +203,7 @@ def _equation_rows(resids, width):
 
 
 def test_block_equations_match_the_assembled_residuals():
-    # the four block equations and the three assembled residuals span the
+    # the block equation P = 0 and the three assembled residuals span the
     # same equations over R and E on every case, and the (0, 2) residual
     # adds nothing to (0, 1)
     for left, right, hermitian in SOLVE_CASES:
@@ -211,7 +213,7 @@ def test_block_equations_match_the_assembled_residuals():
         ring, R, E, _ = _symbolic_blocks(car_l, car_r)
         width = len(ring.names)
         ties = [R - R.T, E - E.T] if hermitian else []
-        blocks = _equation_rows(block_equations(car_l, car_r, R, E) + ties, width)
+        blocks = _equation_rows([block_equation(car_l, car_r, R, E)] + ties, width)
         assembled = _assembled_residuals(car_l, car_r, R, E, hermitian)
         rows = _equation_rows(assembled, width)
         for mine, theirs in ((blocks, rows), (rows, blocks)):
@@ -232,19 +234,66 @@ def test_solve_builds_no_beta_matrix_boost_or_f_and_g(seven_block_bases, monkeyp
         assert _basis_text(solve_beta4_space(*case).basis) == seven_block_bases[case], case
 
 
-@pytest.mark.parametrize("A, B, C", [
-    ([[1]], [[0]], [[0]]),
-    ([[0, 1], [0, 0]], [[0], [1]], [[0, 0]]),
-    ([[0, 1], [0, 0]], [[0], [0]], [[1, 0]]),
-], ids=["A^2+BC", "AB", "CA"])
-def test_solve_refuses_a_carrier_off_the_triple_equations(A, B, C):
-    # the reduction to block equations uses A^2 + BC = 0
-    n, m = len(A), len(C)
-    car = VectorCarrier((), Matrix.from_rational_rows(A), Matrix.from_rational_rows(B),
-                        Matrix.from_rational_rows(C), n, m)
+# three hand-built triples, each breaking one triple equation: A, B, C
+OFF_TRIPLE = {
+    "A^2+BC": ([[1]], [[0]], [[0]]),
+    "AB": ([[0, 1], [0, 0]], [[0], [1]], [[0, 0]]),
+    "CA": ([[0, 1], [0, 0]], [[0], [0]], [[1, 0]]),
+}
+
+
+def _off_triple_carrier(name):
+    A, B, C = OFF_TRIPLE[name]
+    return VectorCarrier((), Matrix.from_rational_rows(A), Matrix.from_rational_rows(B),
+                         Matrix.from_rational_rows(C), len(A), len(C))
+
+
+@pytest.mark.parametrize("name", list(OFF_TRIPLE))
+def test_solve_refuses_a_carrier_off_the_triple_equations(name):
+    # the reduction to one block equation uses all three triple equations
+    car = _off_triple_carrier(name)
     for left, right in ((car, "D(1,1,0)"), ("D(2,1,0)", car)):
         with pytest.raises(ValueError, match="A\\^2 \\+ BC = 0"):
             solve_beta4_space(left, right)
+
+
+def _elimination_identities(car_l, car_r):
+    """The module docstring's Elimination identities as residues over a
+    PolyRing of R and E: U, V, P + Q and P - X_1, with H, M, N, F from
+    derived_blocks.  Each is identically zero on carriers meeting the
+    triple equations."""
+    _, R, E, (H, M, N, F, _) = _symbolic_blocks(car_l, car_r)
+    Ah, Bh, Ch = car_l.A.H, car_l.B.H, car_l.C.H
+    Ap, Bp = car_r.A, car_r.B
+    P = block_equation(car_l, car_r, R, E)
+    return {"U": Ah @ M + H @ Bp, "V": Bh @ H + N @ Ap, "P+Q": P + Ch @ N + H @ Ap,
+            "P-X1": P - (Ah @ H - H @ Ap + F)}
+
+
+def test_elimination_identities_hold_on_every_solve_case():
+    # U = 0 and V = 0 drop two block equations, Q = -P a third, and
+    # X_1 = P makes the (0, 0) triplet block vanish with P
+    for left, right, _ in SOLVE_CASES:
+        for name, resid in _elimination_identities(carrier_for(left),
+                                                   carrier_for(right)).items():
+            assert resid.is_zero(), (left, right, name)
+
+
+@pytest.mark.parametrize("name, broken_left, broken_right", [
+    ("A^2+BC", {"P+Q"}, {"P+Q", "P-X1"}),
+    ("AB", {"V"}, {"U"}),
+    ("CA", {"U"}, {"V"}),
+], ids=["A^2+BC", "AB", "CA"])
+def test_each_triple_equation_is_needed(name, broken_left, broken_right):
+    # a carrier breaking one triple equation breaks the identities that
+    # use it, on the side where the carrier sits, so the reduction to
+    # P = 0 needs all three; P - X_1 reads only the right carrier's A^2 + BC
+    car = _off_triple_carrier(name)
+    for (left, right), want in (((car, carrier_for("D(1,1,0)")), broken_left),
+                                ((carrier_for("D(2,1,0)"), car), broken_right)):
+        got = {k for k, resid in _elimination_identities(left, right).items()
+               if not resid.is_zero()}
+        assert got == want, (name, got)
 
 
 def _symbolic_blocks(car_l, car_r):
@@ -307,6 +356,27 @@ def test_symmetric_r_and_e_tie_the_other_four_blocks():
         H, M, N, F, G = derived_blocks(car, car, symmetric("r", car.N), symmetric("e", car.M))
         for tie in (F - F.T, G - G.T, H + H.T, M + N.T):
             assert tie.is_zero(), left
+
+
+def test_hermitian_solve_is_the_symmetric_part_of_the_plain_solve():
+    # on each of these self pairs the plain space is closed under
+    # (R, E) -> (R^T, E^T) (checked here, not proved), so it splits into a
+    # symmetric and an antisymmetric part, and the hermitian solve
+    # (R - R^T and E - E^T imposed) is the symmetric one; the
+    # antisymmetric part is what the real hermitian solve leaves out
+    differ = {"D(1,2,1)": (4, 3), "D(2,0,0)": (3, 2), "D(2,1,0)": (4, 3), "D(2,1,1)": (4, 3),
+              "D(2,2,1)": (7, 5), "D(3,1,1)": (7, 5), "D(1,1,0)+D(0,1,0)": (5, 4)}
+    for label in LABELS + ["D(1,1,0)+D(0,1,0)"]:
+        plain = solve_beta4_space(label, label, hermitian=False)
+        hermitian = solve_beta4_space(label, label)
+        span = plain.span()
+        pairs = [(_flatten_re(R, E), _flatten_re(R.T, E.T)) for R, E in plain.basis]
+        assert all(span.contains(t) for _, t in pairs), label
+        sym = SubspaceBasis(span.dim, [[(x + y) * HALF for x, y in zip(v, t)] for v, t in pairs])
+        anti = SubspaceBasis(span.dim, [[(x - y) * HALF for x, y in zip(v, t)] for v, t in pairs])
+        assert sym.dimension + anti.dimension == plain.dim, label
+        assert sym == hermitian.span(), label
+        assert (plain.dim, hermitian.dim) == differ.get(label, (plain.dim, plain.dim)), label
 
 
 def test_hermitian_cross_pair_is_rejected():
