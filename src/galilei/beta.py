@@ -47,8 +47,9 @@ k_0 k_0^H = 1, the block pattern gives
         = boost_blocks(A^H R - R A', C^H E - R B', B^H R - E C', 0),
 
 so the first family at a = 0 says exactly H = A^H R - R A',
-M = C^H E - R B', N = B^H R - E C' (``beta_a_blocks``): with those
-blocks it is an identity in R and E, and it is not imposed.  The second
+M = C^H E - R B' (``beta_a_blocks``), N = B^H R - E C' (built in
+``derived_blocks``, as the solve never reads it): with those blocks it
+is an identity in R and E, and it is not imposed.  The second
 family at (0, b) multiplies out by (X (x) P)(Y (x) Q) = XY (x) PQ with
 the fixed products s_0 s_1 = -E10, s_1 s_0 = -E01, k_0^H k_1 = E01,
 k_1^H k_0 = E10, s_0 k_1^H = e2, s_1 k_0^H = -e2, k_0 s_1 = -e2^T,
@@ -186,24 +187,26 @@ def beta_from_blocks(R, E, F, G, H, M, N, ring=None):
 
 
 def beta_a_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
-    """H, M, N, the blocks of beta_a / i: what the first family at a = 0
-    says for (R, E), so with them it holds identically.  R and E may hold
-    Poly entries."""
-    A, B, C = car_l.A, car_l.B, car_l.C
-    return (A.H @ R - R @ car_r.A, C.H @ E - R @ car_r.B, B.H @ R - E @ car_r.C)
+    """H, M, the blocks of beta_a / i that the block equation reads: what
+    the first family at a = 0 says for (R, E).  R and E may hold Poly
+    entries."""
+    A, C = car_l.A, car_l.C
+    return A.H @ R - R @ car_r.A, C.H @ E - R @ car_r.B
 
 
 def derived_blocks(car_l: VectorCarrier, car_r: VectorCarrier, R, E):
     """H, M, N, F, G determined by (R, E) through the invariance conditions.
 
-    H, M, N come from ``beta_a_blocks``.  G makes the scalar block of the
-    second family at (0, 0) vanish and F the sum of its two triplet
-    values, so with the block equation P = 0 it holds there (module
-    docstring).  R and E may hold Poly entries.
+    H, M come from ``beta_a_blocks`` and N = B^H R - E C' completes the
+    first family at a = 0, so with them it holds identically.  G makes
+    the scalar block of the second family at (0, 0) vanish and F the sum
+    of its two triplet values, so with the block equation P = 0 it holds
+    there (module docstring).  R and E may hold Poly entries.
     """
     A, B, C = car_l.A, car_l.B, car_l.C
     Ap, Bp, Cp = car_r.A, car_r.B, car_r.C
-    H, M, N = beta_a_blocks(car_l, car_r, R, E)
+    H, M = beta_a_blocks(car_l, car_r, R, E)
+    N = B.H @ R - E @ Cp
     F = C.H @ E @ Cp + A.H @ R @ Ap
     G = (B.H @ R @ Bp) * GRat(2) - B.H @ C.H @ E - E @ Cp @ Bp
     return H, M, N, F, G
@@ -213,7 +216,7 @@ def block_equation(car_l: VectorCarrier, car_r: VectorCarrier, R, E) -> Matrix:
     """P = A^H H + M C', H and M from ``beta_a_blocks``.  On carriers meeting
     the triple equations, P = 0 exactly when the second family vanishes at
     (0, 0), (0, 1) and (0, 2) (module docstring).  R, E may hold Poly entries."""
-    H, M, _ = beta_a_blocks(car_l, car_r, R, E)
+    H, M = beta_a_blocks(car_l, car_r, R, E)
     return car_l.A.H @ H + M @ car_r.C
 
 

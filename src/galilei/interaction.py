@@ -58,11 +58,14 @@ def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
                      lam1="lam1", lam2="lam2") -> CoupledOperator:
     """Adds (e/2m) Lambda (lam1 eta.H + lam2 (S.H - eta.E)).
 
-    lam_matrix must intertwine the carrier (checked); lam1/lam2 are
-    symbol names in the algebra's parameter ring.  The e/2m
-    normalisation is the one under which the reported gyromagnetic
-    ratio comes out affine with unit coefficients in (mu lam1, nu lam2)
-    for the spinor system; the variant with e/m doubles those slopes.
+    The bracket is one ``dot`` over the nine matrices eta, S, eta with
+    coefficients (e/2m) lam1 H_a, (e/2m) lam2 H_a and -(e/2m) lam2 E_a,
+    and Lambda multiplies it once.  lam_matrix must intertwine the
+    carrier (checked); lam1/lam2 are symbol names in the algebra's
+    parameter ring.  The e/2m normalisation is the one under which the
+    reported gyromagnetic ratio comes out affine with unit coefficients
+    in (mu lam1, nu lam2) for the spinor system; the variant with e/m
+    doubles those slopes.
     """
     from .covariance import lambda_satisfies
 
@@ -72,12 +75,11 @@ def couple_anomalous(bs, fc: FieldConfig, lam_matrix: Matrix, phys, spin_phys,
     co = couple_minimal(bs, fc, phys, spin_phys)
     alg = fc.algebra
     e_over_m = alg.sym("e") * alg.sym("m", -1) * HALF
+    k1, k2 = e_over_m * alg.sym(lam1), e_over_m * alg.sym(lam2)
     hops = fc.h_ops()
-    etaH = dot(bs.rep.eta, hops, alg)
-    SH = dot(bs.rep.S, hops, alg)
-    etaE = dot(bs.rep.eta, fc.e_ops(), alg)
-    extra = lam_matrix.lift(alg) @ (etaH * (e_over_m * alg.sym(lam1))
-                                    + (SH - etaE) * (e_over_m * alg.sym(lam2)))
+    coeffs = [h * k1 for h in hops] + [h * k2 for h in hops] + [-(e * k2) for e in fc.e_ops()]
+    eta = bs.rep.eta
+    extra = lam_matrix.lift(alg) @ dot([*eta, *bs.rep.S, *eta], coeffs, alg)
     co.matrix = co.matrix + extra
     return co
 
@@ -246,7 +248,7 @@ def _split(co: CoupledOperator, block: Matrix, norm: Poly, cut=None) -> Reductio
         c = _match_coefficient(X, T, field_syms)
         if c:
             named[nm] = c
-            X = X - T.map(lambda w: w * c)
+            X = X - T.map(lambda w: w * c if w else w)
             if cut:
                 X = X.map(cut)
     return ReductionReport(block, named, X, norm, structures)

@@ -33,6 +33,36 @@ def _zero_like(x):
     raise TypeError(f"no zero for {type(x)}")
 
 
+def _lifter(target):
+    """The map sending one entry into ``target``, a PolyRing or a WeylAlgebra.
+
+    A scalar goes through ``target.const``; a Poly is re-expressed by
+    ``map_to`` in the target's coefficient ring (``params`` for an
+    algebra), so a symbol missing there raises ValueError; an element of
+    ``target`` is kept; a zero becomes ``target.zero``.  Algebra elements
+    are told apart by their ``algebra`` attribute, so this module does
+    not import ``weyl``.
+    """
+    ring = getattr(target, "params", target)
+    zero, const = target.zero, target.const
+
+    def entry(x):
+        kind = type(x)
+        if kind is Poly:
+            if not x:
+                return zero
+            if x.ring is not ring:
+                x = x.map_to(ring)
+            return x if ring is target else const(x)
+        if kind is not GRat and hasattr(x, "algebra"):
+            if x.algebra is not target and x.algebra != target:
+                raise ValueError("entry from a foreign Weyl algebra")
+            return x
+        return const(x) if x else zero
+
+    return entry
+
+
 class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
@@ -67,33 +97,9 @@ class Matrix:
         return Matrix([[f(x) for x in r] for r in self.entries], cols=self.cols)
 
     def lift(self, target) -> "Matrix":
-        """This matrix over ``target``, a PolyRing or a WeylAlgebra.
-
-        A scalar goes through ``target.const``; a Poly is re-expressed by
-        ``map_to`` in the target's coefficient ring (``params`` for an
-        algebra), so a symbol missing there raises ValueError; an element of
-        ``target`` is kept; a zero becomes ``target.zero``.  Algebra elements
-        are told apart by their ``algebra`` attribute, so this module does
-        not import ``weyl``.
-        """
-        ring = getattr(target, "params", target)
-        zero, const = target.zero, target.const
-
-        def entry(x):
-            kind = type(x)
-            if kind is Poly:
-                if not x:
-                    return zero
-                if x.ring is not ring:
-                    x = x.map_to(ring)
-                return x if ring is target else const(x)
-            if kind is not GRat and hasattr(x, "algebra"):
-                if x.algebra is not target and x.algebra != target:
-                    raise ValueError("entry from a foreign Weyl algebra")
-                return x
-            return const(x) if x else zero
-
-        return self.map(entry)
+        """This matrix over ``target``, a PolyRing or a WeylAlgebra (see
+        ``_lifter``)."""
+        return self.map(_lifter(target))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -518,11 +524,27 @@ def nilpotent_exp(n: Matrix, t=None, cut=None) -> Matrix:
 
 
 def dot(mats, coeffs, target) -> Matrix:
-    """sum_k mats[k].lift(target) * coeffs[k], for a nonempty ``mats``."""
-    out = mats[0].lift(target) * coeffs[0]
-    for mat, c in zip(mats[1:], coeffs[1:]):
-        out = out + mat.lift(target) * c
-    return out
+    """sum_k mats[k] * coeffs[k] over ``target``, for a nonempty ``mats``.
+
+    One pass over the nonzero entries: each is lifted (``_lifter``) and,
+    where its coefficient is nonzero, multiplied by it and added into a
+    grid of ``target.zero``, so an entry no term reaches is
+    ``target.zero`` itself.  The entries of a matrix whose coefficient is
+    zero are still lifted, so they raise as ``Matrix.lift`` does.
+    """
+    rows, cols = mats[0].shape
+    entry = _lifter(target)
+    out = [[target.zero] * cols for _ in range(rows)]
+    for mat, c in zip(mats, coeffs):
+        if mat.shape != (rows, cols):
+            raise ValueError(f"shape mismatch: {(rows, cols)} and {mat.shape}")
+        for src, row in zip(mat.entries, out):
+            for j, x in enumerate(src):
+                if x:
+                    x = entry(x)
+                    if c:
+                        row[j] = row[j] + x * c
+    return Matrix(out, cols=cols)
 
 
 def evaluate_matrix(m: Matrix, assignment: dict) -> Matrix:

@@ -278,8 +278,17 @@ TWO_ROUTE_SEED = 5
 
 
 def random_coupling(rng, system, coupling):
-    """A coupled operator with potentials A0, A1, A2, A3 of degree <= 2,
-    each two monomials with coefficients p/q, p in [-5, 5] nonzero, q in [1, 4]."""
+    """A coupled operator on a random_setting."""
+    bs, fc, lam, phys, sp = random_setting(rng, system)
+    if coupling == "anomalous":
+        return couple_anomalous(bs, fc, lam, phys, sp)
+    return couple_minimal(bs, fc, phys, sp)
+
+
+def random_setting(rng, system):
+    """(system, field, Lambda, physical rows, spin blocks), the field with
+    potentials A0, A1, A2, A3 of degree <= 2, each two monomials with
+    coefficients p/q, p in [-5, 5] nonzero, q in [1, 4]."""
     spinor = system == "levy_leblond"
     extra = ("lam1", "lam2") if spinor else ("lam1", "lam2", "nu")
     _, xring, alg = make_setting(extra_params=extra,
@@ -305,9 +314,7 @@ def random_coupling(rng, system, coupling):
     else:
         bs = cat.system_D311(ring=PolyRing(("nu",), invertible=("nu",)))
         phys, sp, lam = (0, 1, 2), [spin1_matrix(a) for a in range(3)], bs.beta0
-    if coupling == "anomalous":
-        return couple_anomalous(bs, fc, lam, phys, sp)
-    return couple_minimal(bs, fc, phys, sp)
+    return bs, fc, lam, phys, sp
 
 
 def conjugated_block(co):
@@ -326,6 +333,38 @@ def test_reduction_equals_the_conjugated_route(system, coupling):
     for _ in range(2):
         co = random_coupling(rng, system, coupling)
         assert reduce_coupled(co).operator == conjugated_block(co)
+
+
+ANOMALOUS_SEED = 17
+
+
+def old_anomalous_term(bs, fc, lam):
+    """Lambda (lam1 eta.H + lam2 (S.H - eta.E)) e/2m as three dense sums
+    and two scalar maps: the reference for couple_anomalous' one dot."""
+    alg = fc.algebra
+
+    def dense(mats, ops):
+        out = Matrix.zeros(bs.dim, bs.dim, alg.zero)
+        for m, op in zip(mats, ops):
+            out = out + m.lift(alg) * op
+        return out
+
+    e_over_m = alg.sym("e") * alg.sym("m", -1) * HALF
+    etaH, SH = dense(bs.rep.eta, fc.h_ops()), dense(bs.rep.S, fc.h_ops())
+    etaE = dense(bs.rep.eta, fc.e_ops())
+    return lam.lift(alg) @ (etaH * (e_over_m * alg.sym("lam1"))
+                            + (SH - etaE) * (e_over_m * alg.sym("lam2")))
+
+
+@pytest.mark.parametrize("system", ["levy_leblond", "D311"])
+def test_anomalous_term_equals_the_three_sum_formula(system):
+    rng = random.Random(f"{ANOMALOUS_SEED}:{system}")
+    for _ in range(3):
+        bs, fc, lam, phys, sp = random_setting(rng, system)
+        added = (couple_anomalous(bs, fc, lam, phys, sp).matrix
+                 - couple_minimal(bs, fc, phys, sp).matrix)
+        assert not added.is_zero()
+        assert added == old_anomalous_term(bs, fc, lam)
 
 
 def test_reduction_refuses_eta_on_the_physical_rows():

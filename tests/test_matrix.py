@@ -536,20 +536,120 @@ def test_lift_sends_zeros_to_the_target_zero():
         assert all(x is target.zero for x in out.entries[0])
 
 
+DOT_SEED = 11
+
+
+def _sparse_lift_rows(rng, rows, cols, ring):
+    """Entries that are zero four times in five (a GRat zero or the zero of
+    a foreign ring), else a GRat or a Poly of ``ring``."""
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            u = rng.random()
+            if u < 0.8:
+                row.append(rng.choice([ZERO, PolyRing(("q",)).zero]))
+            elif u < 0.9:
+                row.append(GRat(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)),
+                                rng.randint(-1, 1)))
+            else:
+                sym = ring.sym(rng.choice(ring.names))
+                row.append(sym * GRat(rng.randint(1, 3)) + rng.randint(-2, 2))
+        out.append(row)
+    return Matrix(out)
+
+
+def _dense_dot(mats, coeffs, target):
+    """The reference: sum_k mats[k].lift(target) * coeffs[k], every entry
+    multiplied and added."""
+    out = Matrix.zeros(mats[0].rows, mats[0].cols, target.zero)
+    for m, c in zip(mats, coeffs):
+        out = out + m.lift(target) * c
+    return out
+
+
 def test_dot_equals_the_explicit_sum():
     from galilei.weyl import WeylAlgebra
 
-    rng = random.Random(11)
+    rng = random.Random(DOT_SEED)
     mats = [Matrix(_random_rows(rng, 3, 3)) for _ in range(3)]
     coeffs = [LIFT_RING.sym("x"), LIFT_RING.sym("y") * 2, LIFT_RING.const(GRat(0, 1))]
-    want = Matrix.zeros(3, 3, LIFT_RING.zero)
-    for m, c in zip(mats, coeffs):
-        want = want + m.lift(LIFT_RING) * c
-    assert dot(mats, coeffs, LIFT_RING) == want
-    alg = WeylAlgebra(PolyRing(("m",)))
+    assert dot(mats, coeffs, LIFT_RING) == _dense_dot(mats, coeffs, LIFT_RING)
+    alg = WeylAlgebra(PolyRing(("m", "e")))
     ops = [alg.p(0), alg.x(1), alg.sym("m")]
     explicit = mats[0].lift(alg) * ops[0] + mats[1].lift(alg) * ops[1] + mats[2].lift(alg) * ops[2]
     assert dot(mats, ops, alg) == explicit
+    # sparse GRat and Poly entries, zero coefficients and an all-zero matrix
+    cases = (
+        (LIFT_RING, PolyRing(("x",)),
+         [LIFT_RING.sym("x") + 1, LIFT_RING.zero, ZERO, GRat(Fraction(2, 3), 1),
+          LIFT_RING.sym("y") * LIFT_RING.sym("x") - 2]),
+        (alg, PolyRing(("e",)),
+         [alg.p(0) * alg.x(0) + alg.sym("e"), alg.zero, ZERO, alg.x(2), alg.sym("m", 2)]),
+    )
+    for target, ring, coeffs in cases:
+        for _ in range(4):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            mats = [_sparse_lift_rows(rng, rows, cols, ring) for _ in coeffs[:-1]]
+            mats.append(Matrix.zeros(rows, cols))
+            entries = [x for m in mats for r in m.entries for x in r]
+            assert sum(1 for x in entries if not x) >= 0.7 * len(entries)
+            got = dot(mats, coeffs, target)
+            assert got == _dense_dot(mats, coeffs, target)
+            for i in range(rows):
+                for j in range(cols):
+                    if not any(m[i, j] and c for m, c in zip(mats, coeffs)):
+                        assert got[i, j] is target.zero
+
+
+def test_dot_lifts_the_entries_of_a_zero_coefficient():
+    from galilei.weyl import WeylAlgebra
+
+    alg = WeylAlgebra(PolyRing(("m",)))
+    for target, bad in ((LIFT_RING, PolyRing(("x", "z")).sym("z")),
+                        (alg, PolyRing(("z",)).sym("z")),
+                        (alg, WeylAlgebra(PolyRing(("q",))).x(0)),
+                        (LIFT_RING, alg.x(0))):
+        with pytest.raises(ValueError):
+            Matrix([[bad]]).lift(target)
+        for zero in (ZERO, target.zero):
+            with pytest.raises(ValueError):
+                dot([Matrix([[ONE, ZERO]]), Matrix([[ZERO, bad]])], [ONE, zero], target)
+
+
+def test_dot_multiplies_each_nonzero_entry_once(monkeypatch):
+    # count guard: one Weyl product per (nonzero entry, nonzero coefficient)
+    # pair, none for a zero entry or a zero coefficient
+    from galilei import catalog
+    from galilei.interaction import make_setting
+    from galilei.weyl import FieldConfig, WeylElement
+
+    rng = random.Random(DOT_SEED)
+    _, xring, alg = make_setting(extra_params=("nu",), invertible=("m", "e", "nu"))
+    xs = [xring.sym(f"x{k + 1}") for k in range(3)]
+
+    def potential():
+        return sum((rng.choice(xs) * rng.choice(xs) * GRat(rng.randint(1, 5)), rng.choice(xs),
+                    xring.const(GRat(rng.randint(-3, 3)))), xring.zero)
+
+    fc = FieldConfig(alg, potential(), [potential() for _ in range(3)])
+    bs = catalog.system_D311()
+    mats = [bs.beta0, *bs.betas, bs.beta4]
+    pis = fc.pis()
+    real = WeylElement.__mul__
+    for p in (pis, [*pis[:2], alg.zero, *pis[3:]]):
+        calls = []
+
+        def counting(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WeylElement, "__mul__", counting)
+            op = bs.operator(p, alg)
+        assert len(calls) == sum(1 for m, c in zip(mats, p) if c
+                                 for r in m.entries for x in r if x)
+        assert op == _dense_dot(mats, p, alg)
 
 
 def test_kron_block_direct_sum_on_empty_shapes():
